@@ -294,7 +294,7 @@ CampaignOutput CampaignRunner::run(const std::vector<SimJob>& jobs) const {
           if (options_.progress) options_.progress(++completed, jobs.size());
         }
       },
-      options_.schedule, &sched_stats);
+      &sched_stats);
   if (journal.is_open()) {
     // Completed prefix-sharing campaigns record the engine totals as a
     // trailing "stats" line. Entry readers skip it; `campaign status`

@@ -37,7 +37,6 @@ struct DistributedOptions {
   unsigned shard = 0;   ///< which shard this process runs (worker mode)
   /// In-process threads per worker (ThreadPool semantics: 0 = hardware).
   unsigned threads = 1;
-  ScheduleOptions schedule;
   std::uint64_t campaign_seed = 42;
   bool collect_metrics = false;
   /// Run the cross-process steal phase after the own shard completes.

@@ -63,21 +63,9 @@ void ThreadPool::run_range(Batch& batch, std::size_t begin, std::size_t end,
 void ThreadPool::drain(Batch& batch, unsigned slot) {
   WorkerStats& ws = batch.ws[slot].s;
 
-  if (batch.mode == ScheduleMode::kSharedQueue) {
-    // Legacy path: one shared counter, but chunked — the contended line
-    // bounces once per chunk instead of once per index.
-    for (;;) {
-      const std::size_t i =
-          batch.shared_next.fetch_add(batch.chunk, std::memory_order_relaxed);
-      if (i >= batch.n) return;
-      ++ws.local_claims;
-      run_range(batch, i, std::min(i + batch.chunk, batch.n), ws);
-    }
-  }
-
-  // Work stealing. Fast path: chunked claims off the worker's own shard —
-  // the only line this fetch_add touches is slot-private until the shard
-  // drains, so short-job grids scale without a shared hot spot.
+  // Fast path: chunked claims off the worker's own shard — the only line
+  // this fetch_add touches is slot-private until the shard drains, so
+  // short-job grids scale without a shared hot spot.
   Shard& own = batch.shards[slot];
   for (;;) {
     const std::size_t i = own.next.fetch_add(batch.chunk,
@@ -163,7 +151,6 @@ void ThreadPool::worker_loop(unsigned slot) {
 
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& body,
-                              const ScheduleOptions& options,
                               SchedulerStats* stats) {
   if (stats) {
     stats->workers.assign(workers_.empty() ? 1 : size(), WorkerStats{});
@@ -183,18 +170,14 @@ void ThreadPool::parallel_for(std::size_t n,
   const unsigned width = size();
   Batch batch;
   batch.body = &body;
-  batch.n = n;
-  batch.mode = options.mode;
-  batch.chunk = options.chunk ? options.chunk : auto_chunk(n, width);
+  batch.chunk = auto_chunk(n, width);
   batch.width = width;
   batch.ws = std::make_unique<PaddedWorkerStats[]>(width);
-  if (batch.mode == ScheduleMode::kWorkStealing) {
-    // Balanced contiguous shards: shard w owns [w*n/W, (w+1)*n/W).
-    batch.shards = std::make_unique<Shard[]>(width);
-    for (unsigned w = 0; w < width; ++w) {
-      batch.shards[w].next.store(n * w / width, std::memory_order_relaxed);
-      batch.shards[w].end = n * (w + 1) / width;
-    }
+  // Balanced contiguous shards: shard w owns [w*n/W, (w+1)*n/W).
+  batch.shards = std::make_unique<Shard[]>(width);
+  for (unsigned w = 0; w < width; ++w) {
+    batch.shards[w].next.store(n * w / width, std::memory_order_relaxed);
+    batch.shards[w].end = n * (w + 1) / width;
   }
 
   {

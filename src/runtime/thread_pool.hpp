@@ -6,21 +6,20 @@
 // where every job is an independent simulation. This pool runs such grids
 // across std::thread workers.
 //
-// Two scheduling modes, selected per parallel_for:
+// Scheduling: the index space is split into one contiguous shard per
+// worker; each worker claims chunks of K indices from its own shard with a
+// fetch_add on a cache-line-private counter (the lock-free fast path — no
+// two workers touch the same line while their shards last), and only when
+// its shard drains does it probe the other shards in a per-worker
+// pseudo-random order and steal chunks from whichever still has work. Load
+// imbalance never leaves a core idle while work remains. K is
+// max(1, min(64, n/(8*threads))): large enough to amortize the atomic,
+// small enough that stealing can still rebalance a skewed tail.
 //
-//   * kWorkStealing (default): the index space is split into one
-//     contiguous shard per worker; each worker claims chunks of K indices
-//     from its own shard with a fetch_add on a cache-line-private counter
-//     (the lock-free fast path — no two workers touch the same line while
-//     their shards last), and only when its shard drains does it probe the
-//     other shards in a per-worker pseudo-random order and steal chunks
-//     from whichever still has work. Load imbalance never leaves a core
-//     idle while work remains, and short-job grids stop ping-ponging one
-//     shared cache line.
-//
-//   * kSharedQueue (legacy): all workers claim from a single shared atomic
-//     counter — still chunked (runs of K indices per fetch_add) so the
-//     line bounces once per chunk, not once per index.
+// Contiguous shards also matter for claim *order*: callers that group
+// related jobs next to each other (PrefixEngine::schedule_order puts jobs
+// sharing a golden run side by side) get one group per worker at the
+// start instead of every worker piling onto the first group.
 //
 // Determinism contract: the pool never influences simulation results. Work
 // is identified by dense indices [0, n); every index runs exactly once;
@@ -44,21 +43,6 @@
 
 namespace unsync::runtime {
 
-enum class ScheduleMode {
-  kWorkStealing,  ///< sharded per-worker ranges + randomized stealing
-  kSharedQueue,   ///< one shared counter (legacy), chunked claims
-};
-
-/// Per-parallel_for scheduling knobs. The defaults are right for job grids;
-/// tests force degenerate shapes (chunk=1) to exercise steal schedules.
-struct ScheduleOptions {
-  ScheduleMode mode = ScheduleMode::kWorkStealing;
-  /// Indices claimed per fetch_add. 0 = auto: max(1, min(64, n/(8*threads)))
-  /// — large enough to amortize the atomic, small enough that stealing can
-  /// still rebalance a skewed tail.
-  std::size_t chunk = 0;
-};
-
 /// What one worker did during a parallel_for (measurement only — never
 /// part of any deterministic result surface).
 struct WorkerStats {
@@ -71,7 +55,7 @@ struct WorkerStats {
 };
 
 /// Scheduler counters for one parallel_for, per worker slot (slot 0 is the
-/// calling thread). kSharedQueue reports every claim as local.
+/// calling thread).
 struct SchedulerStats {
   std::vector<WorkerStats> workers;
 
@@ -106,17 +90,11 @@ class ThreadPool {
   /// workers and the calling thread; returns when all n calls finished.
   /// If any body throws, every remaining index still runs, and afterwards
   /// the exception of the *lowest* failed index is rethrown — so error
-  /// reporting is independent of scheduling order.
-  void parallel_for(std::size_t n,
-                    const std::function<void(std::size_t)>& body) {
-    parallel_for(n, body, ScheduleOptions{}, nullptr);
-  }
-
-  /// As above with explicit scheduling; fills `*stats` (when non-null)
-  /// with per-worker scheduler counters for this batch.
+  /// reporting is independent of scheduling order. Fills `*stats` (when
+  /// non-null) with per-worker scheduler counters for this batch.
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& body,
-                    const ScheduleOptions& options, SchedulerStats* stats);
+                    SchedulerStats* stats = nullptr);
 
   /// std::thread::hardware_concurrency with a floor of 1.
   static unsigned default_threads();
@@ -134,12 +112,9 @@ class ThreadPool {
 
   struct Batch {
     const std::function<void(std::size_t)>* body = nullptr;
-    std::size_t n = 0;
     std::size_t chunk = 1;
-    ScheduleMode mode = ScheduleMode::kWorkStealing;
     unsigned width = 1;  // worker slots (pool size)
-    std::atomic<std::size_t> shared_next{0};
-    std::unique_ptr<Shard[]> shards;           // width entries (stealing)
+    std::unique_ptr<Shard[]> shards;           // width entries
     std::unique_ptr<PaddedWorkerStats[]> ws;   // width entries
     std::mutex error_mu;
     std::vector<std::pair<std::size_t, std::exception_ptr>> errors;

@@ -1,9 +1,11 @@
-// The work-stealing scheduler's contract: every index exactly once under
-// any mode / chunk / thread count, steals actually happen under skew,
-// stats account for all work, and — the headline — campaign output stays
-// byte-identical however the grid was scheduled.
+// The work-stealing scheduler's contract: every index exactly once at any
+// batch size / thread count (so at every auto-sized chunk shape), steals
+// actually happen under skew, stats account for all work, and — the
+// headline — campaign output stays byte-identical however the grid was
+// scheduled.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
@@ -17,48 +19,51 @@ namespace unsync {
 namespace {
 
 using runtime::CampaignRunner;
-using runtime::ScheduleMode;
-using runtime::ScheduleOptions;
 using runtime::SchedulerStats;
 using runtime::SimJob;
 using runtime::SystemKind;
 using runtime::ThreadPool;
 
-ScheduleOptions stealing(std::size_t chunk = 0) {
-  ScheduleOptions s;
-  s.mode = ScheduleMode::kWorkStealing;
-  s.chunk = chunk;
-  return s;
-}
-
-ScheduleOptions shared_queue(std::size_t chunk = 0) {
-  ScheduleOptions s;
-  s.mode = ScheduleMode::kSharedQueue;
-  s.chunk = chunk;
-  return s;
-}
-
 void expect_each_index_once(ThreadPool& pool, std::size_t n,
-                            const ScheduleOptions& opts,
                             SchedulerStats* stats = nullptr) {
   std::vector<std::atomic<int>> hits(n);
   pool.parallel_for(
-      n, [&](std::size_t i) { hits[i].fetch_add(1); }, opts, stats);
+      n, [&](std::size_t i) { hits[i].fetch_add(1); }, stats);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
-TEST(Scheduler, EveryIndexOnceAcrossModesChunksAndWidths) {
+/// Claims a batch of n indices takes at pool width `width`: shard w owns
+/// [w*n/W, (w+1)*n/W) and every claim, local or stolen, takes the next
+/// `chunk` indices of one shard, with chunk = max(1, min(64, n/(8*W))).
+std::uint64_t expected_claims(std::size_t n, unsigned width) {
+  const std::size_t chunk =
+      std::max<std::size_t>(1, std::min<std::size_t>(64, n / (8 * width)));
+  std::uint64_t claims = 0;
+  for (unsigned w = 0; w < width; ++w) {
+    const std::size_t len = n * (w + 1) / width - n * w / width;
+    claims += (len + chunk - 1) / chunk;
+  }
+  return claims;
+}
+
+TEST(Scheduler, EveryIndexOnceAcrossChunksAndWidths) {
+  // The chunk size follows n. At widths 2, 3 and 8: n <= 7 claims single
+  // indices, n=64 claims chunks of 4, 2 and 1, n=1000 claims ragged chunks
+  // (62, 41 and 15, none of which divides its shard) and n=5000 claims the
+  // cap of 64.
   for (const unsigned threads : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(threads);
-    for (const std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {
-      for (const std::size_t chunk : {0u, 1u, 3u, 1024u}) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " n=" + std::to_string(n) +
-                     " chunk=" + std::to_string(chunk));
-        expect_each_index_once(pool, n, stealing(chunk));
-        expect_each_index_once(pool, n, shared_queue(chunk));
+    for (const std::size_t n : {0u, 1u, 7u, 64u, 1000u, 5000u}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " n=" + std::to_string(n));
+      SchedulerStats stats;
+      expect_each_index_once(pool, n, &stats);
+      const auto t = stats.total();
+      EXPECT_EQ(t.indices, n);
+      if (threads > 1 && n > 0) {
+        EXPECT_EQ(t.local_claims + t.steals, expected_claims(n, threads));
       }
     }
   }
@@ -66,11 +71,11 @@ TEST(Scheduler, EveryIndexOnceAcrossModesChunksAndWidths) {
 
 TEST(Scheduler, StatsAccountForEveryIndex) {
   ThreadPool pool(4);
-  for (const auto& opts : {stealing(1), stealing(8), shared_queue(1)}) {
+  for (const std::size_t n : {20u, 500u, 5000u}) {
     SchedulerStats stats;
-    expect_each_index_once(pool, 500, opts, &stats);
+    expect_each_index_once(pool, n, &stats);
     ASSERT_EQ(stats.workers.size(), pool.size());
-    EXPECT_EQ(stats.total().indices, 500u);
+    EXPECT_EQ(stats.total().indices, n);
     EXPECT_GT(stats.total().local_claims + stats.total().steals, 0u);
   }
 }
@@ -78,27 +83,20 @@ TEST(Scheduler, StatsAccountForEveryIndex) {
 TEST(Scheduler, SerialFallbackFillsStats) {
   ThreadPool pool(1);
   SchedulerStats stats;
-  expect_each_index_once(pool, 32, stealing(), &stats);
+  expect_each_index_once(pool, 32, &stats);
   ASSERT_EQ(stats.workers.size(), 1u);
   EXPECT_EQ(stats.workers[0].indices, 32u);
   EXPECT_EQ(stats.workers[0].steals, 0u);
 }
 
-TEST(Scheduler, SharedQueueReportsOnlyLocalClaims) {
-  ThreadPool pool(4);
-  SchedulerStats stats;
-  expect_each_index_once(pool, 256, shared_queue(1), &stats);
-  EXPECT_EQ(stats.total().steals, 0u);
-  EXPECT_EQ(stats.total().indices, 256u);
-}
-
 TEST(Scheduler, SkewForcesSteals) {
   // All the real work sits in worker 0's shard: indices [0, n/width) are
   // slow, everything else is instant. The other workers drain their shards
-  // immediately and must steal from shard 0 to finish the batch. chunk=1
-  // keeps single indices stealable.
+  // immediately and must steal from shard 0 to finish the batch. n < 16
+  // per worker keeps the auto-sized chunk at 1, so single indices stay
+  // stealable.
   ThreadPool pool(4);
-  const std::size_t n = 64;
+  const std::size_t n = 32;
   const std::size_t slow_end = n / pool.size();
   std::vector<std::atomic<int>> hits(n);
   SchedulerStats stats;
@@ -110,7 +108,7 @@ TEST(Scheduler, SkewForcesSteals) {
           std::this_thread::sleep_for(std::chrono::milliseconds(2));
         }
       },
-      stealing(1), &stats);
+      &stats);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
   }
@@ -122,22 +120,21 @@ TEST(Scheduler, SkewForcesSteals) {
 }
 
 TEST(Scheduler, ExceptionReportingIsScheduleIndependent) {
-  // The lowest failing index wins under every mode and chunk shape.
-  for (const auto& opts :
-       {stealing(0), stealing(1), shared_queue(0), shared_queue(1)}) {
-    ThreadPool pool(4);
-    try {
-      pool.parallel_for(
-          48,
-          [&](std::size_t i) {
-            if (i == 41 || i == 11) {
-              throw std::runtime_error("job " + std::to_string(i));
-            }
-          },
-          opts, nullptr);
-      FAIL() << "expected parallel_for to rethrow";
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "job 11");
+  // The lowest failing index wins at every width and chunk shape (n=48
+  // claims single indices, n=4800 claims chunks of 64 or 150/width).
+  for (const unsigned threads : {2u, 4u}) {
+    for (const std::size_t n : {48u, 4800u}) {
+      ThreadPool pool(threads);
+      try {
+        pool.parallel_for(n, [&](std::size_t i) {
+          if (i == 41 || i == 11) {
+            throw std::runtime_error("job " + std::to_string(i));
+          }
+        });
+        FAIL() << "expected parallel_for to rethrow";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "job 11");
+      }
     }
   }
 }
@@ -171,24 +168,18 @@ TEST(SchedulerDeterminism, JsonByteIdenticalAcrossThreadsAndSchedules) {
   base.threads = 1;
   const std::string reference = CampaignRunner(base).run(jobs).to_json();
 
-  for (const unsigned threads : {1u, 2u, 8u}) {
-    for (const auto& sched :
-         {stealing(0), stealing(1), shared_queue(0), shared_queue(1)}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) + " mode=" +
-                   (sched.mode == ScheduleMode::kWorkStealing ? "stealing"
-                                                              : "shared") +
-                   " chunk=" + std::to_string(sched.chunk));
-      CampaignRunner::Options opts = base;
-      opts.threads = threads;
-      opts.schedule = sched;
-      EXPECT_EQ(CampaignRunner(opts).run(jobs).to_json(), reference);
-    }
+  for (const unsigned threads : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CampaignRunner::Options opts = base;
+    opts.threads = threads;
+    EXPECT_EQ(CampaignRunner(opts).run(jobs).to_json(), reference);
   }
 }
 
 TEST(SchedulerDeterminism, ForcedStealScheduleDoesNotChangeOutput) {
-  // chunk=1 on a grid whose first jobs are the heaviest maximises steal
-  // traffic; the output must not care.
+  // Six jobs over two workers claim single indices (the auto-sized chunk
+  // is 1) and the heaviest job sits first, so worker 1 drains its own
+  // shard and steals the rest of worker 0's; the output must not care.
   auto jobs = small_grid();
   jobs[0].insts = 20000;  // a straggler in worker 0's shard
   CampaignRunner::Options serial;
@@ -196,8 +187,7 @@ TEST(SchedulerDeterminism, ForcedStealScheduleDoesNotChangeOutput) {
   serial.collect_metrics = true;
   serial.threads = 1;
   CampaignRunner::Options steal_heavy = serial;
-  steal_heavy.threads = 8;
-  steal_heavy.schedule = stealing(1);
+  steal_heavy.threads = 2;
   const auto a = CampaignRunner(serial).run(jobs);
   const auto b = CampaignRunner(steal_heavy).run(jobs);
   EXPECT_EQ(a.to_json(), b.to_json());
