@@ -13,11 +13,18 @@
 // Every run is cross-checked byte-identical to the serial reference — the
 // scheduler must never leak into results.
 //
+// Wall clock on a shared host is noisy, and one cold serial reference skews
+// every efficiency at once, so the reference and each workers point are
+// timed as the median of three runs. The runs are interleaved (reference,
+// 1, 2, 4, 8 workers, then again), so a shift in host load during the
+// bench hits every point alike.
+//
 // json=<path> writes a machine-readable report
 // ("unsync.bench_campaign_scaling.v2", with the host's core count) that
 // tools/check_bench_regression.py --campaign gates in CI: identical must
 // hold, and efficiency at workers=1 and at the largest non-oversubscribed
 // multi-worker point must clear the bar.
+#include <algorithm>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -40,6 +47,15 @@ std::string digest(const runtime::CampaignOutput& out) {
   return os.str();
 }
 
+constexpr int kReps = 3;
+
+/// One run of the grid at one worker count.
+struct Sample {
+  double wall_seconds = 0.0;
+  std::uint64_t steals = 0;
+  std::uint64_t steal_failures = 0;
+};
+
 struct Point {
   unsigned workers = 0;
   double wall_seconds = 0.0;
@@ -54,6 +70,14 @@ std::uint64_t counter_of(const obs::MetricsSnapshot& snap,
                          const std::string& name) {
   const auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
+}
+
+/// The sample with the median wall time.
+Sample median(std::vector<Sample> runs) {
+  std::sort(runs.begin(), runs.end(), [](const Sample& a, const Sample& b) {
+    return a.wall_seconds < b.wall_seconds;
+  });
+  return runs[runs.size() / 2];
 }
 
 }  // namespace
@@ -82,44 +106,58 @@ int main(int argc, char** argv) {
   }
   const unsigned cores = runtime::ThreadPool::default_threads();
   std::cout << "grid: " << n_jobs << " jobs x " << per_job_insts
-            << " insts, host cores: " << cores << "\n\n";
+            << " insts, host cores: " << cores << ", median of " << kReps
+            << " runs per point\n\n";
 
-  // Serial reference (threads=1 runs inline on the caller).
-  runtime::CampaignRunner::Options serial;
-  serial.threads = 1;
-  serial.campaign_seed = args.seed;
-  const auto ref = runtime::CampaignRunner(serial).run(jobs);
-  const std::string reference = digest(ref);
-  const double serial_wall = ref.wall_seconds;
+  // Slot 0 is the serial reference (threads=1 runs inline on the caller);
+  // the others are the measured worker counts.
+  const unsigned threads[] = {1, 1, 2, 4, 8};
+  constexpr std::size_t kPoints = std::size(threads);
+  std::vector<std::vector<Sample>> samples(kPoints);
+  bool same[kPoints];
+  std::fill(std::begin(same), std::end(same), true);
+  std::string reference;
+  for (int r = 0; r < kReps; ++r) {
+    for (std::size_t i = 0; i < kPoints; ++i) {
+      runtime::CampaignRunner::Options opts;
+      opts.threads = threads[i];
+      opts.campaign_seed = args.seed;
+      const auto out = runtime::CampaignRunner(opts).run(jobs);
+      const std::string d = digest(out);
+      if (reference.empty()) reference = d;
+      same[i] = same[i] && d == reference;
+      samples[i].push_back(
+          {out.wall_seconds,
+           counter_of(out.scheduler_metrics, "campaign.scheduler.steals"),
+           counter_of(out.scheduler_metrics,
+                      "campaign.scheduler.steal_failures")});
+    }
+  }
+  const double serial_wall = median(samples[0]).wall_seconds;
+  bool all_identical = same[0];
 
   TextTable t;
   t.set_header({"workers", "wall s", "jobs/s", "speedup",
                 "efficiency", "steals", "identical"});
 
-  const unsigned worker_counts[] = {1, 2, 4, 8};
   std::vector<Point> points;
-  bool all_identical = true;
-  for (const unsigned w : worker_counts) {
-    runtime::CampaignRunner::Options opts;
-    opts.threads = w;
-    opts.campaign_seed = args.seed;
-    const auto out = runtime::CampaignRunner(opts).run(jobs);
-    const bool same = digest(out) == reference;
-    all_identical = all_identical && same;
+  for (std::size_t i = 1; i < kPoints; ++i) {
+    const unsigned w = threads[i];
+    const Sample m = median(samples[i]);
+    all_identical = all_identical && same[i];
 
     Point p;
     p.workers = w;
-    p.wall_seconds = out.wall_seconds;
-    p.jobs_per_sec = static_cast<double>(n_jobs) / out.wall_seconds;
-    p.speedup = serial_wall / out.wall_seconds;
+    p.wall_seconds = m.wall_seconds;
+    p.jobs_per_sec = static_cast<double>(n_jobs) / m.wall_seconds;
+    p.speedup = serial_wall / m.wall_seconds;
     p.efficiency = p.speedup / std::min(w, cores);
-    p.steals = counter_of(out.scheduler_metrics, "campaign.scheduler.steals");
-    p.steal_failures = counter_of(out.scheduler_metrics,
-                                  "campaign.scheduler.steal_failures");
+    p.steals = m.steals;
+    p.steal_failures = m.steal_failures;
     t.add_row({std::to_string(w), TextTable::num(p.wall_seconds, 3),
                TextTable::num(p.jobs_per_sec, 0),
                TextTable::num(p.speedup, 2), TextTable::num(p.efficiency, 2),
-               std::to_string(p.steals), same ? "yes" : "NO"});
+               std::to_string(p.steals), same[i] ? "yes" : "NO"});
     points.push_back(p);
   }
   t.print(std::cout);

@@ -1,8 +1,6 @@
 // Checkpoint hooks for the CPU layer: branch predictor, CoreStats blocks,
 // and the full out-of-order core. One translation unit so the core's wire
 // layout is reviewable in a single place.
-#include <algorithm>
-
 #include "ckpt/serializer.hpp"
 #include "cpu/bpred.hpp"
 #include "cpu/check_log.hpp"
@@ -109,8 +107,9 @@ void OooCore::save_state(ckpt::Serializer& s) const {
   s.u64(fetch_queue_.size());
   for (const workload::DynOp& op : fetch_queue_) workload::save_op(s, op);
 
-  s.u64(rob_.size());
-  for (const RobEntry& e : rob_) {
+  s.u64(rob_count_);
+  for (SeqNum seq = rob_head_seq_; in_rob(seq); ++seq) {
+    const RobEntry& e = rob_[slot_of(seq)];
     workload::save_op(s, e.op);
     s.b(e.in_iq);
     s.b(e.issued);
@@ -118,15 +117,13 @@ void OooCore::save_state(ckpt::Serializer& s) const {
     s.b(e.mispredicted);
   }
 
-  // unordered_map: saved sorted by key so identical state always produces
-  // identical bytes (save -> load -> save round-trips are byte-comparable).
-  std::vector<std::pair<SeqNum, Cycle>> completions(completion_.begin(),
-                                                    completion_.end());
-  std::sort(completions.begin(), completions.end());
-  s.u64(completions.size());
-  for (const auto& [seq, at] : completions) {
+  // The in-flight completion list, sorted by seq: each ROB entry's
+  // (seq, complete_at), kNever while unissued. Derived from the ROB, but
+  // kept on the wire so the format stays unchanged.
+  s.u64(rob_count_);
+  for (SeqNum seq = rob_head_seq_; in_rob(seq); ++seq) {
     s.u64(seq);
-    s.u64(at);
+    s.u64(rob_[slot_of(seq)].complete_at);
   }
 
   bpred_.save_state(s);
@@ -166,23 +163,62 @@ void OooCore::load_state(ckpt::Deserializer& d) {
   next_sample_ = d.u64();
   frozen_until_ = d.u64();
 
-  fetch_queue_.resize(d.u64());
+  const std::uint64_t n_fetch = d.u64();
+  if (n_fetch > config_.fetch_queue_entries) {
+    throw ckpt::CkptError("fetch queue over capacity");
+  }
+  fetch_queue_.resize(n_fetch);
   for (workload::DynOp& op : fetch_queue_) workload::load_op(d, op);
 
-  rob_.resize(d.u64());
-  for (RobEntry& e : rob_) {
+  const std::uint64_t n_rob = d.u64();
+  if (n_rob > config_.rob_entries) {
+    throw ckpt::CkptError("ROB over capacity");
+  }
+  rob_clear();
+  std::uint32_t n_in_iq = 0, n_loads = 0, n_stores = 0;
+  for (std::uint64_t i = 0; i < n_rob; ++i) {
+    RobEntry e;
     workload::load_op(d, e.op);
     e.in_iq = d.b();
     e.issued = d.b();
     e.complete_at = d.u64();
     e.mispredicted = d.b();
+    // The preconditions the ring and the wakeup lists rely on.
+    if (i != 0 && e.op.seq != rob_head_seq_ + i) {
+      throw ckpt::CkptError("ROB seqs not contiguous");
+    }
+    for (const SeqNum src : e.op.src) {
+      if (src != kNoSeq && src >= e.op.seq) {
+        throw ckpt::CkptError("ROB entry depends on a younger producer");
+      }
+    }
+    if (e.in_iq == e.issued || (!e.issued && e.complete_at != kNever)) {
+      throw ckpt::CkptError("ROB entry issue state inconsistent");
+    }
+    n_in_iq += e.in_iq;
+    n_loads += e.op.is_load();
+    n_stores += e.op.is_store();
+    rob_push(e);
+  }
+  // The fetch queue continues the ROB's seqs.
+  SeqNum next_seq = rob_count_ != 0 ? rob_head_seq_ + rob_count_
+                    : n_fetch != 0  ? fetch_queue_.front().seq
+                                    : kNoSeq;
+  for (const workload::DynOp& op : fetch_queue_) {
+    if (op.seq != next_seq++) {
+      throw ckpt::CkptError("fetch queue seqs not contiguous with the ROB");
+    }
   }
 
-  completion_.clear();
-  const std::uint64_t n_completions = d.u64();
-  for (std::uint64_t i = 0; i < n_completions; ++i) {
-    const SeqNum seq = d.u64();
-    completion_[seq] = d.u64();
+  if (d.u64() != n_rob) {
+    throw ckpt::CkptError("completion list does not match the ROB");
+  }
+  for (SeqNum seq = rob_head_seq_; in_rob(seq); ++seq) {
+    const SeqNum at_seq = d.u64();
+    const Cycle at = d.u64();
+    if (at_seq != seq || at != rob_[slot_of(seq)].complete_at) {
+      throw ckpt::CkptError("completion list does not match the ROB");
+    }
   }
 
   bpred_.load_state(d);
@@ -203,12 +239,26 @@ void OooCore::load_state(ckpt::Deserializer& d) {
   fetch_resume_at_ = d.u64();
   pending_stream_op_valid_ = d.b();
   workload::load_op(d, pending_stream_op_);
+  if (pending_stream_op_valid_ && next_seq != kNoSeq &&
+      pending_stream_op_.seq != next_seq) {
+    throw ckpt::CkptError("pending fetch op not contiguous with the ROB");
+  }
 
   iq_count_ = d.u32();
   lq_count_ = d.u32();
   sq_count_ = d.u32();
+  if (iq_count_ != n_in_iq || lq_count_ != n_loads || sq_count_ != n_stores) {
+    throw ckpt::CkptError("queue counts do not match the ROB");
+  }
+  if (iq_count_ > config_.iq_entries) {
+    throw ckpt::CkptError("issue queue over capacity");
+  }
 
-  committed_store_words_.resize(d.u64());
+  const std::uint64_t n_words = d.u64();
+  if (n_words > kCommittedStoreWords) {
+    throw ckpt::CkptError("committed-store window over capacity");
+  }
+  committed_store_words_.resize(n_words);
   for (Addr& a : committed_store_words_) a = d.u64();
   d.end_chunk();
 }

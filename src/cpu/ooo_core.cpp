@@ -1,6 +1,7 @@
 #include "cpu/ooo_core.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace unsync::cpu {
@@ -32,11 +33,17 @@ OooCore::OooCore(CoreId id, const CoreConfig& config,
                     &fu_fp_mul_, &fu_fp_div_, &fu_mem_}) {
     p->next_free.assign(p->cfg.count, 0);
   }
+  // At least one bitmap word, so woken-set words align with the ring.
+  const std::uint32_t capacity =
+      std::bit_ceil(std::max<std::uint32_t>(config_.rob_entries, 64));
+  rob_.resize(capacity);
+  rob_mask_ = capacity - 1;
+  woken_.assign(capacity / 64, 0);
 }
 
 bool OooCore::done() const {
   return stream_done_ && !pending_stream_op_valid_ && fetch_queue_.empty() &&
-         rob_.empty();
+         rob_count_ == 0;
 }
 
 void OooCore::stall_until(Cycle cycle) {
@@ -46,8 +53,7 @@ void OooCore::stall_until(Cycle cycle) {
 void OooCore::flush_pipeline() {
   const SeqNum resume = stats_.committed;
   fetch_queue_.clear();
-  rob_.clear();
-  completion_.clear();
+  rob_clear();
   committed_store_words_.clear();
   iq_count_ = lq_count_ = sq_count_ = 0;
   fetch_blocked_on_ = kNoSeq;
@@ -101,18 +107,87 @@ bool OooCore::try_fu(FuPool& pool, Cycle now, Cycle* complete_at) {
   return false;
 }
 
-bool OooCore::src_ready(SeqNum src, Cycle now, Cycle* ready_at) const {
-  if (src == kNoSeq) return true;
-  const auto it = completion_.find(src);
-  if (it == completion_.end()) return true;  // producer already committed
-  if (ready_at) *ready_at = it->second;
-  return it->second <= now;
+void OooCore::rob_clear() {
+  rob_count_ = 0;
+  std::fill(woken_.begin(), woken_.end(), 0);
+  youngest_store_ = kNoSeq;
+  serializing_.clear();
+}
+
+void OooCore::rob_push(const RobEntry& in) {
+  const SeqNum seq = in.op.seq;
+  if (rob_count_ == 0) rob_head_seq_ = seq;
+  assert(seq == rob_head_seq_ + rob_count_ && "stream seqs must be contiguous");
+  const std::uint32_t slot = slot_of(seq);
+  RobEntry& e = rob_[slot];
+  e = in;
+  e.pending = 0;
+  e.ready_at = 0;
+  e.consumers = kNoLink;
+  if (e.in_iq) {
+    // A source outside the ROB (committed, absent, or not older than this
+    // entry) constrains nothing; an issued producer has a known
+    // completion; an unissued one wakes this entry when it issues.
+    for (std::uint32_t k = 0; k < 2; ++k) {
+      const SeqNum src = e.op.src[k];
+      if (!in_rob(src)) continue;
+      RobEntry& p = rob_[slot_of(src)];
+      if (p.issued) {
+        e.ready_at = std::max(e.ready_at, p.complete_at);
+      } else {
+        e.next_consumer[k] = p.consumers;
+        p.consumers = slot << 1 | k;
+        ++e.pending;
+      }
+    }
+    if (e.pending == 0) set_woken(slot);
+  }
+  if (e.op.is_load() || e.op.is_store()) e.prev_store = youngest_store_;
+  if (e.op.is_store()) youngest_store_ = seq;
+  if (e.op.is_serializing()) serializing_.push_back(seq);
+  ++rob_count_;
+}
+
+void OooCore::wake_consumers(RobEntry& producer) {
+  for (std::uint32_t link = producer.consumers; link != kNoLink;) {
+    const std::uint32_t slot = link >> 1;
+    RobEntry& c = rob_[slot];
+    link = c.next_consumer[link & 1];
+    c.ready_at = std::max(c.ready_at, producer.complete_at);
+    if (--c.pending == 0) set_woken(slot);
+  }
+  producer.consumers = kNoLink;
+}
+
+std::uint32_t OooCore::next_woken(std::uint32_t off) const {
+  // Bits are set only for in-ROB entries, and bitmap words align with the
+  // ring, so the first set bit at or after a slot within its word is the
+  // oldest woken entry from that offset.
+  while (off < rob_count_) {
+    const std::uint32_t slot = slot_of(rob_head_seq_ + off);
+    const std::uint64_t bits = woken_[slot >> 6] >> (slot & 63);
+    if (bits != 0) {
+      return off + static_cast<std::uint32_t>(std::countr_zero(bits));
+    }
+    off += 64 - (slot & 63);
+  }
+  return rob_count_;
+}
+
+const OooCore::RobEntry* OooCore::forwarding_store(const RobEntry& e) const {
+  const Addr word = word_of(e.op.mem_addr);
+  for (SeqNum s = e.prev_store; in_rob(s);) {
+    const RobEntry& st = rob_[slot_of(s)];
+    if (word_of(st.op.mem_addr) == word) return &st;
+    s = st.prev_store;
+  }
+  return nullptr;
 }
 
 void OooCore::tick(Cycle now) {
   ++stats_.cycles;
-  stats_.rob_occupancy_accum += rob_.size();
-  if (rob_hist_) rob_hist_->add(static_cast<double>(rob_.size()));
+  stats_.rob_occupancy_accum += rob_count_;
+  if (rob_hist_) rob_hist_->add(static_cast<double>(rob_count_));
 
   if (config_.sample_interval != 0 && now >= next_sample_) {
     stats_.interval_committed.push_back(stats_.committed);
@@ -131,18 +206,10 @@ void OooCore::tick(Cycle now) {
 }
 
 Cycle OooCore::load_block_bound(const RobEntry& e, Cycle now) const {
-  const Addr word = word_of(e.op.mem_addr);
-  const RobEntry* match = nullptr;
-  for (const RobEntry& other : rob_) {
-    if (other.op.seq >= e.op.seq) break;
-    // Fence: clears only when the serializing instruction retires — a
-    // commit event next_event() already vetoes at the head.
-    if (other.op.is_serializing()) return kNever;
-    if (other.op.is_store() && word_of(other.op.mem_addr) == word) {
-      match = &other;
-    }
-  }
-  if (match) {
+  // Fence: clears only when the serializing instruction retires — a
+  // commit event next_event() already vetoes at the head.
+  if (fenced(e)) return kNever;
+  if (const RobEntry* match = forwarding_store(e)) {
     if (!match->issued) return kNever;  // the store's own issue is covered
     if (match->complete_at > now) return match->complete_at;
   }
@@ -158,38 +225,22 @@ Cycle OooCore::next_event(Cycle now) const {
   // Commit stage: a ready head acts every cycle (commits, or charges a
   // gate/store stall) — veto. An issued-but-incomplete head completes at
   // complete_at; an unissued head is covered by the issue scan below.
-  if (!rob_.empty()) {
-    const RobEntry& head = rob_.front();
+  if (rob_count_ != 0) {
+    const RobEntry& head = rob_[slot_of(rob_head_seq_)];
     if (head.issued) {
       if (head.complete_at <= now) return now;
       cand = std::min(cand, head.complete_at);
     }
   }
 
-  // Issue stage: scan exactly the issue-queue window do_issue examines.
-  std::uint32_t examined = 0;
-  for (const RobEntry& e : rob_) {
-    if (!e.in_iq) continue;
-    if (++examined > config_.iq_entries) break;
-
-    // Source readiness. A source whose producer has not issued yet
-    // (completion kNever) is covered: the producer is an older in_iq
-    // entry inside this same window, so its own issue bounds e's.
-    Cycle bound = now;
-    bool covered = false;
-    for (const SeqNum src : e.op.src) {
-      if (src == kNoSeq) continue;
-      const auto it = completion_.find(src);
-      if (it == completion_.end()) continue;  // producer already committed
-      if (it->second == kNever) {
-        covered = true;
-        break;
-      }
-      bound = std::max(bound, it->second);
-    }
-    if (covered) continue;
-    if (bound > now) {
-      cand = std::min(cand, bound);
+  // Issue stage: the woken entries are exactly the ones do_issue examines.
+  // An entry still waiting on an unissued producer is covered: the
+  // producer is an older in-queue entry, so its own issue bounds this one.
+  for (std::uint32_t off = next_woken(0); off < rob_count_;
+       off = next_woken(off + 1)) {
+    const RobEntry& e = rob_[slot_of(rob_head_seq_ + off)];
+    if (e.ready_at > now) {
+      cand = std::min(cand, e.ready_at);
       continue;
     }
 
@@ -198,7 +249,7 @@ Cycle OooCore::next_event(Cycle now) const {
       case isa::InstClass::kSerializing:
         // Issues only from the ROB head; becoming head takes an older
         // commit, which is itself a vetoed event.
-        if (rob_.front().op.seq == e.op.seq) return now;
+        if (off == 0) return now;
         continue;
       case isa::InstClass::kLoad: {
         const Cycle block = load_block_bound(e, now);
@@ -206,20 +257,11 @@ Cycle OooCore::next_event(Cycle now) const {
         if (block != kNever) cand = std::min(cand, block);
         continue;
       }
-      case isa::InstClass::kStore: {
+      case isa::InstClass::kStore:
         // Blocked only by an older in-flight serializing instruction,
         // whose retirement is a covered commit event.
-        bool fenced = false;
-        for (const RobEntry& other : rob_) {
-          if (other.op.seq >= e.op.seq) break;
-          if (other.op.is_serializing()) {
-            fenced = true;
-            break;
-          }
-        }
-        if (fenced) continue;
+        if (fenced(e)) continue;
         return now;
-      }
       default:
         return now;  // would attempt a functional unit
     }
@@ -230,7 +272,7 @@ Cycle OooCore::next_event(Cycle now) const {
   if (!fetch_queue_.empty()) {
     const std::uint32_t reserved = env_->reserved_rob_slots_at(id_, now);
     const workload::DynOp& op = fetch_queue_.front();
-    if (rob_.size() + reserved >= config_.rob_entries) {
+    if (rob_count_ + reserved >= config_.rob_entries) {
       // ROB-stalled: bounded by the next environment state change
       // (Reunion fingerprint verification frees reserved slots).
       cand = std::min(cand, env_->next_state_change(id_, now));
@@ -261,8 +303,8 @@ void OooCore::skip_cycles(Cycle from, Cycle to) {
   assert(to > from);
   const Cycle w = to - from;
   stats_.cycles += w;
-  stats_.rob_occupancy_accum += static_cast<std::uint64_t>(rob_.size()) * w;
-  if (rob_hist_) rob_hist_->add(static_cast<double>(rob_.size()), w);
+  stats_.rob_occupancy_accum += static_cast<std::uint64_t>(rob_count_) * w;
+  if (rob_hist_) rob_hist_->add(static_cast<double>(rob_count_), w);
 
   if (config_.sample_interval != 0) {
     // Replay `if (now >= next_sample_) sample` for each now in [from, to).
@@ -286,7 +328,7 @@ void OooCore::skip_cycles(Cycle from, Cycle to) {
   if (!fetch_queue_.empty()) {
     const std::uint32_t reserved = env_->reserved_rob_slots(id_, from);
     const workload::DynOp& op = fetch_queue_.front();
-    if (rob_.size() + reserved >= config_.rob_entries) {
+    if (rob_count_ + reserved >= config_.rob_entries) {
       stats_.dispatch_stall_rob += w;
     } else if (iq_count_ >= config_.iq_entries) {
       stats_.dispatch_stall_iq += w;
@@ -304,8 +346,9 @@ void OooCore::skip_cycles(Cycle from, Cycle to) {
 }
 
 void OooCore::do_commit(Cycle now) {
-  for (std::uint32_t n = 0; n < config_.commit_width && !rob_.empty(); ++n) {
-    RobEntry& head = rob_.front();
+  for (std::uint32_t n = 0; n < config_.commit_width && rob_count_ != 0;
+       ++n) {
+    RobEntry& head = rob_[slot_of(rob_head_seq_)];
     if (!head.issued || head.complete_at > now) break;
 
     if (!env_->can_commit(id_, head.op, now)) {
@@ -319,8 +362,8 @@ void OooCore::do_commit(Cycle now) {
       }
       --sq_count_;
       ++stats_.stores;
-      committed_store_words_.push_back(head.op.mem_addr & ~Addr{7});
-      if (committed_store_words_.size() > 16) {
+      committed_store_words_.push_back(word_of(head.op.mem_addr));
+      if (committed_store_words_.size() > kCommittedStoreWords) {
         committed_store_words_.pop_front();
       }
     }
@@ -336,6 +379,7 @@ void OooCore::do_commit(Cycle now) {
         break;
       case isa::InstClass::kSerializing:
         ++stats_.serializing;
+        serializing_.pop_front();
         // Trap/barrier drains the front end after it retires.
         fetch_resume_at_ =
             std::max(fetch_resume_at_, now + config_.serialize_fetch_penalty);
@@ -350,8 +394,8 @@ void OooCore::do_commit(Cycle now) {
                      .thread = 0, .core = id_, .seq = head.op.seq,
                      .addr = head.op.mem_addr, .value = 0});
     }
-    completion_.erase(head.op.seq);
-    rob_.pop_front();
+    ++rob_head_seq_;
+    --rob_count_;
     ++stats_.committed;
   }
 }
@@ -359,25 +403,18 @@ void OooCore::do_commit(Cycle now) {
 bool OooCore::lsq_load_can_issue(const RobEntry& e, Cycle now,
                                  bool* forwarded) const {
   *forwarded = false;
-  const Addr word = word_of(e.op.mem_addr);
-  // Youngest older store to the same word decides: not-yet-executed blocks
-  // the load; an executed one forwards. Memory ops never pass an in-flight
-  // serializing instruction (fence semantics).
-  const RobEntry* match = nullptr;
-  for (const RobEntry& other : rob_) {
-    if (other.op.seq >= e.op.seq) break;
-    if (other.op.is_serializing()) return false;
-    if (other.op.is_store() && word_of(other.op.mem_addr) == word) {
-      match = &other;
-    }
-  }
-  if (match) {
+  // Memory ops never pass an in-flight serializing instruction (fence
+  // semantics). Youngest older store to the same word decides:
+  // not-yet-executed blocks the load; an executed one forwards.
+  if (fenced(e)) return false;
+  if (const RobEntry* match = forwarding_store(e)) {
     if (!match->issued || match->complete_at > now) return false;
     *forwarded = true;
     return true;
   }
   // No in-ROB producer: the word may still live in the post-commit store
   // buffer on its way to the cache.
+  const Addr word = word_of(e.op.mem_addr);
   for (const Addr w : committed_store_words_) {
     if (w == word) {
       *forwarded = true;
@@ -388,24 +425,22 @@ bool OooCore::lsq_load_can_issue(const RobEntry& e, Cycle now,
 }
 
 void OooCore::do_issue(Cycle now) {
+  // Oldest-first select over the woken entries only. The whole issue
+  // queue is the select window: iq_count_ <= iq_entries always holds. An
+  // entry woken by an issue below is seen later in this same pass, as
+  // the scan re-reads the bitmap.
   std::uint32_t issued = 0;
-  std::uint32_t examined = 0;
-  for (RobEntry& e : rob_) {
-    if (issued >= config_.issue_width) break;
-    if (!e.in_iq) continue;
-    // Only entries inside the issue-queue window are candidates.
-    if (++examined > config_.iq_entries) break;
-
-    if (!src_ready(e.op.src[0], now, nullptr) ||
-        !src_ready(e.op.src[1], now, nullptr)) {
-      continue;
-    }
+  for (std::uint32_t off = next_woken(0);
+       off < rob_count_ && issued < config_.issue_width;
+       off = next_woken(off + 1)) {
+    RobEntry& e = rob_[slot_of(rob_head_seq_ + off)];
+    if (e.ready_at > now) continue;
 
     Cycle complete_at = kNever;
     switch (e.op.cls) {
       case isa::InstClass::kSerializing: {
         // Issues only from the ROB head, after everything older retired.
-        if (rob_.front().op.seq != e.op.seq) continue;
+        if (off != 0) continue;
         complete_at = now + 1;
         break;
       }
@@ -433,15 +468,7 @@ void OooCore::do_issue(Cycle now) {
       case isa::InstClass::kStore: {
         // Execution = address generation + data capture; the memory write
         // happens at commit through the CommitEnv.
-        bool blocked = false;
-        for (const RobEntry& other : rob_) {
-          if (other.op.seq >= e.op.seq) break;
-          if (other.op.is_serializing()) {
-            blocked = true;
-            break;
-          }
-        }
-        if (blocked) continue;
+        if (fenced(e)) continue;
         Cycle port_done = 0;
         if (!try_fu(fu_mem_, now, &port_done)) continue;
         complete_at = now + 1;
@@ -463,7 +490,8 @@ void OooCore::do_issue(Cycle now) {
     e.in_iq = false;
     e.issued = true;
     e.complete_at = complete_at;
-    completion_[e.op.seq] = complete_at;
+    clear_woken(slot_of(e.op.seq));
+    wake_consumers(e);
     --iq_count_;
     ++issued;
 
@@ -480,7 +508,7 @@ void OooCore::do_dispatch(Cycle now) {
   const std::uint32_t reserved = env_->reserved_rob_slots(id_, now);
   for (std::uint32_t n = 0; n < config_.fetch_width; ++n) {
     if (fetch_queue_.empty()) break;
-    if (rob_.size() + reserved >= config_.rob_entries) {
+    if (rob_count_ + reserved >= config_.rob_entries) {
       ++stats_.dispatch_stall_rob;
       break;
     }
@@ -503,8 +531,7 @@ void OooCore::do_dispatch(Cycle now) {
     e.mispredicted = op.is_branch() && op.has_mispredict_hint
                          ? op.mispredict_hint
                          : false;
-    rob_.push_back(e);
-    completion_[op.seq] = kNever;
+    rob_push(e);
     ++iq_count_;
     if (op.is_load()) ++lq_count_;
     if (op.is_store()) ++sq_count_;

@@ -5,6 +5,13 @@
 // with store-to-load forwarding, functional-unit pools, gshare branch
 // prediction, and serializing-instruction drain semantics.
 //
+// Scheduling is event-driven (docs/SIMULATOR.md, "Core data structures"):
+// the ROB is a seq-indexed ring, an entry learns its operands are ready
+// from its producers' issue (wakeup lists), select walks only woken
+// entries, and loads search a chain of in-ROB stores. This relies on two
+// stream preconditions: seqs are contiguous, and every producer is older
+// than its consumer.
+//
 // The model is trace/stream-driven: it consumes retired-order DynOps, so
 // wrong-path work is modelled as fetch bubbles (the front end stalls from
 // the fetch of a mispredicted branch until it resolves plus the refill
@@ -20,7 +27,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -178,9 +184,7 @@ class OooCore {
   void set_position(SeqNum seq);
 
   const CoreStats& stats() const { return stats_; }
-  std::uint32_t rob_occupancy() const {
-    return static_cast<std::uint32_t>(rob_.size());
-  }
+  std::uint32_t rob_occupancy() const { return rob_count_; }
 
   /// Attaches an event-trace gate. The core emits kFetch and kCommit
   /// records through it; a gate with no sink costs one branch per event
@@ -210,12 +214,19 @@ class OooCore {
   /// front-end cursor (including the stream's own state), LSQ occupancy,
   /// the committed-store forwarding window, and statistics. load_state()
   /// requires a core constructed with the same id, config and stream
-  /// identity. Observability attachments are not part of the state.
+  /// identity, rejects an inconsistent core with ckpt::CkptError, and
+  /// rebuilds the derived scheduling state (wakeup lists, woken set, store
+  /// chain, fence) from the ROB. Observability attachments are not part of
+  /// the state.
   void save_state(ckpt::Serializer& s) const;
   void load_state(ckpt::Deserializer& d);
 
  private:
   static constexpr Cycle kNever = ~Cycle{0};
+
+  static constexpr std::uint32_t kNoLink = ~std::uint32_t{0};
+  /// Depth of the post-commit store-forwarding window.
+  static constexpr std::size_t kCommittedStoreWords = 16;
 
   struct RobEntry {
     workload::DynOp op;
@@ -223,6 +234,18 @@ class OooCore {
     bool issued = false;
     Cycle complete_at = kNever;
     bool mispredicted = false;  // resolved at dispatch (hint or predictor)
+
+    // Derived scheduling state: never serialised, rebuilt by load_state.
+    std::uint32_t pending = 0;  // producers that have not issued yet
+    Cycle ready_at = 0;         // latest completion of issued producers
+    /// Head of this entry's consumer list. A link is (slot << 1 | k): the
+    /// consumer in `slot` waits on this entry through its operand k, and
+    /// continues the list through its own next_consumer[k].
+    std::uint32_t consumers = kNoLink;
+    std::uint32_t next_consumer[2] = {kNoLink, kNoLink};
+    /// Memory ops: the youngest store dispatched before this one (kNoSeq
+    /// if none). Chained, these form the in-ROB store list.
+    SeqNum prev_store = kNoSeq;
   };
 
   struct FuPool {
@@ -235,11 +258,42 @@ class OooCore {
   void do_dispatch(Cycle now);
   void do_fetch(Cycle now);
 
-  bool src_ready(SeqNum src, Cycle now, Cycle* ready_at) const;
   FuPool* pool_for(isa::InstClass cls);
   /// Earliest cycle >= now a unit in `pool` is free; kNever if none this
   /// cycle. On success reserves the unit and returns completion time.
   bool try_fu(FuPool& pool, Cycle now, Cycle* complete_at);
+
+  std::uint32_t slot_of(SeqNum seq) const {
+    return static_cast<std::uint32_t>(seq) & rob_mask_;
+  }
+  /// True while `seq` is in the ROB (dispatched, not yet committed).
+  bool in_rob(SeqNum seq) const { return seq - rob_head_seq_ < rob_count_; }
+
+  /// Appends `e` at the ROB tail and derives its scheduling state: wakeup
+  /// links to unissued producers, the woken bit, the store chain and the
+  /// fence list. The one entry path for dispatch and load_state.
+  void rob_push(const RobEntry& e);
+  /// Drops all in-flight entries and every structure derived from them.
+  void rob_clear();
+  /// A producer issued: walk its consumer list once.
+  void wake_consumers(RobEntry& producer);
+
+  void set_woken(std::uint32_t slot) {
+    woken_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+  }
+  void clear_woken(std::uint32_t slot) {
+    woken_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+  }
+  /// The smallest ROB offset >= `off` (0 = head) holding a woken entry
+  /// (in_iq with every producer issued), or rob_count_ if none.
+  std::uint32_t next_woken(std::uint32_t off) const;
+
+  /// Memory fence: an older serializing instruction is still in flight.
+  bool fenced(const RobEntry& e) const {
+    return !serializing_.empty() && serializing_.front() < e.op.seq;
+  }
+  /// The youngest in-ROB store older than load `e` to the same word.
+  const RobEntry* forwarding_store(const RobEntry& e) const;
 
   bool lsq_load_can_issue(const RobEntry& e, Cycle now, bool* forwarded) const;
 
@@ -257,8 +311,21 @@ class OooCore {
   CommitEnv default_env_;
 
   std::deque<workload::DynOp> fetch_queue_;
-  std::deque<RobEntry> rob_;
-  std::unordered_map<SeqNum, Cycle> completion_;  // in-flight producers
+
+  /// The ROB: a ring of a power-of-two capacity >= max(rob_entries, 64),
+  /// where the entry for `seq` lives in slot seq & rob_mask_. It holds the
+  /// contiguous seqs [rob_head_seq_, rob_head_seq_ + rob_count_).
+  std::vector<RobEntry> rob_;
+  std::uint32_t rob_mask_ = 0;
+  SeqNum rob_head_seq_ = 0;
+  std::uint32_t rob_count_ = 0;
+  /// One bit per ring slot: set while the entry there is woken.
+  std::vector<std::uint64_t> woken_;
+  /// The youngest store dispatched (the tail of the store chain); it may
+  /// already have committed.
+  SeqNum youngest_store_ = kNoSeq;
+  /// Seqs of the in-flight serializing instructions, oldest first.
+  std::deque<SeqNum> serializing_;
 
   GsharePredictor bpred_;
   mem::Tlb itlb_;

@@ -47,7 +47,14 @@ struct DynOp {
   bool is_serializing() const { return cls == isa::InstClass::kSerializing; }
 };
 
+/// True for an InstClass byte a stream may carry: every class but kHalt,
+/// which ends a program and never enters the timing model.
+constexpr bool is_stream_class(std::uint8_t cls) {
+  return cls <= static_cast<std::uint8_t>(isa::InstClass::kSerializing);
+}
+
 /// Checkpoint helpers: serialise / restore one DynOp (all fields).
+/// load_op rejects a class byte that is not a stream class.
 void save_op(ckpt::Serializer& s, const DynOp& op);
 void load_op(ckpt::Deserializer& d, DynOp& op);
 

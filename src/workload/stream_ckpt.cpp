@@ -23,7 +23,11 @@ void save_op(ckpt::Serializer& s, const DynOp& op) {
 
 void load_op(ckpt::Deserializer& d, DynOp& op) {
   op.seq = d.u64();
-  op.cls = static_cast<isa::InstClass>(d.u8());
+  const std::uint8_t cls = d.u8();
+  if (!is_stream_class(cls)) {
+    throw ckpt::CkptError("instruction class out of range");
+  }
+  op.cls = static_cast<isa::InstClass>(cls);
   op.pc = d.u64();
   op.src[0] = d.u64();
   op.src[1] = d.u64();

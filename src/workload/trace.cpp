@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <stdexcept>
+#include <string>
 
 namespace unsync::workload {
 
@@ -57,26 +58,47 @@ void save_trace(const std::string& path, const std::vector<DynOp>& ops) {
 }
 
 std::vector<DynOp> load_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) throw std::runtime_error("cannot open trace file: " + path);
+  const auto file_size = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
   char magic[4];
   in.read(magic, 4);
   if (!in || std::memcmp(magic, kTraceMagic, 4) != 0) {
-    throw std::runtime_error("not a UTRC trace file: " + path);
+    throw TraceError("not a UTRC trace file: " + path);
   }
   std::uint32_t version = 0;
   in.read(reinterpret_cast<char*>(&version), sizeof version);
   if (!in || version != kTraceVersion) {
-    throw std::runtime_error("unsupported trace version in " + path);
+    throw TraceError("unsupported trace version in " + path);
   }
   std::uint64_t count = 0;
   in.read(reinterpret_cast<char*>(&count), sizeof count);
+  if (!in) throw TraceError("truncated trace file: " + path);
+  constexpr std::uint64_t kHeaderBytes = 16;
+  if (count > (file_size - kHeaderBytes) / sizeof(DiskOp)) {
+    throw TraceError("trace header counts more ops than the file holds: " +
+                     path);
+  }
   std::vector<DynOp> ops;
   ops.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) {
     DiskOp d{};
     in.read(reinterpret_cast<char*>(&d), sizeof d);
-    if (!in) throw std::runtime_error("truncated trace file: " + path);
+    if (!in) throw TraceError("truncated trace file: " + path);
+    // The timing model indexes its ROB by seq and wakes consumers from
+    // their producers: op i must carry seq i, and read only older ops.
+    const auto reject = [&](const char* what) {
+      throw TraceError(std::string(what) + " in " + path + " op " +
+                       std::to_string(i));
+    };
+    if (!is_stream_class(d.cls)) reject("instruction class out of range");
+    if (d.seq != i) reject("seq out of order");
+    for (const std::uint64_t src : {d.src0, d.src1}) {
+      if (src != kNoSeq && src >= i) {
+        reject("producer not older than its consumer");
+      }
+    }
     DynOp op;
     op.seq = d.seq;
     op.pc = d.pc;

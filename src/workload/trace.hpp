@@ -8,6 +8,8 @@
 #pragma once
 
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "isa/functional_sim.hpp"
@@ -24,8 +26,16 @@ std::vector<DynOp> record_trace(const isa::Program& program,
 /// trace-driven methodology of simulators like M5.
 void save_trace(const std::string& path, const std::vector<DynOp>& ops);
 
-/// Loads a trace written by save_trace. Throws std::runtime_error on I/O
-/// failure, bad magic, or version mismatch.
+/// A malformed trace file: bad magic or version, truncated, a header count
+/// larger than the file, or ops the timing model cannot represent (a class
+/// byte out of range, op i without seq i, a producer not older than its
+/// consumer). The CLI maps it to exit code 2, like a corrupt checkpoint.
+struct TraceError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Loads a trace written by save_trace. Throws std::runtime_error when the
+/// file cannot be opened and TraceError when its contents are malformed.
 std::vector<DynOp> load_trace(const std::string& path);
 
 /// Replays a recorded trace. Clones share the immutable trace storage and

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -18,6 +19,8 @@
 #include "common/stats.hpp"
 #include "core/factory.hpp"
 #include "core/system.hpp"
+#include "cpu/ooo_core.hpp"
+#include "mem/hierarchy.hpp"
 #include "mem/write_buffer.hpp"
 #include "obs/metrics.hpp"
 #include "workload/profile.hpp"
@@ -484,6 +487,189 @@ TEST(SystemCkptMismatch, RejectsTrailingGarbageInFile) {
   auto fresh = core::make_system(core::SystemKind::kBaseline, cfg, stream);
   EXPECT_THROW(fresh->load_checkpoint_file(path), ckpt::CkptError);
   std::remove(path.c_str());
+}
+
+// ---- Out-of-order core consistency -----------------------------------------
+//
+// OooCore::load_state rebuilds its scheduling structures (ROB ring, wakeup
+// lists, woken set, store chain, fence) from the saved ROB, so it must
+// reject a core whose counts and lists disagree. Each case edits one field
+// of a saved core in place; the offsets come from walking the CPU0 layout
+// (src/cpu/core_ckpt.cpp).
+
+constexpr std::size_t kChunkHeader = 12;  // 4-byte tag + u64 length
+constexpr std::size_t kOpBytes = 45;      // workload::save_op
+constexpr std::size_t kRobEntryBytes = kOpBytes + 11;
+// Field offsets inside one ROB entry.
+constexpr std::size_t kOpCls = 8, kOpSrc0 = 17, kEntryInIq = kOpBytes,
+                      kEntryIssued = kOpBytes + 1;
+
+std::uint64_t get_u64(const std::string& b, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= std::uint64_t{static_cast<unsigned char>(b[at + i])} << (8 * i);
+  }
+  return v;
+}
+
+void put_le(std::string& b, std::size_t at, std::uint64_t v, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    b[at + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+struct CoreLayout {
+  std::size_t fetch_count = 0;  // u64
+  std::size_t rob_count = 0;    // u64, then the entries
+  std::size_t completions = 0;  // u64, then (seq, complete_at) pairs
+  std::size_t iq_count = 0;     // u32 iq, lq, sq, then the store window
+  std::uint64_t n_rob = 0;
+  std::size_t entry(std::uint64_t i) const {
+    return rob_count + 8 + i * kRobEntryBytes;
+  }
+};
+
+CoreLayout walk_core(const std::string& b) {
+  CoreLayout l;
+  std::size_t at = kChunkHeader + 4;  // "CPU0", core id
+  const auto skip_chunk = [&] { at += kChunkHeader + get_u64(b, at + 4); };
+  skip_chunk();  // CSTA
+  at += 16;      // next_sample, frozen_until
+  l.fetch_count = at;
+  at += 8 + get_u64(b, at) * kOpBytes;
+  l.rob_count = at;
+  l.n_rob = get_u64(b, at);
+  at += 8 + l.n_rob * kRobEntryBytes;
+  l.completions = at;
+  at += 8 + get_u64(b, at) * 16;
+  for (int i = 0; i < 3; ++i) skip_chunk();  // BPRD, two TLB0
+  for (int pool = 0; pool < 7; ++pool) at += 8 + get_u64(b, at) * 8;
+  skip_chunk();                   // stream cursor
+  at += 1 + 8 + 8 + 1 + kOpBytes;  // front-end cursor, pending op
+  l.iq_count = at;
+  return l;
+}
+
+struct CoreRig {
+  explicit CoreRig(const cpu::CoreConfig& cfg = {})
+      : memory(mem::MemConfig{}, 1),
+        core(0, cfg, &memory,
+             std::make_unique<workload::SyntheticStream>(
+                 workload::profile("mcf"), 7, 4000)) {}
+  mem::MemoryHierarchy memory;
+  cpu::OooCore core;
+};
+
+std::string save_core(const cpu::OooCore& core) {
+  ckpt::Serializer s;
+  core.save_state(s);
+  return s.take();
+}
+
+/// Loading `bytes` into a fresh core throws a CkptError naming `what`.
+void expect_core_rejected(const std::string& bytes, const std::string& what,
+                          const cpu::CoreConfig& cfg = {}) {
+  CoreRig fresh(cfg);
+  ckpt::Deserializer d(bytes);
+  try {
+    fresh.core.load_state(d);
+    ADD_FAILURE() << "accepted a core with " << what;
+  } catch (const ckpt::CkptError& e) {
+    EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+        << "expected '" << what << "', got '" << e.what() << "'";
+  }
+}
+
+TEST(CoreCkptConsistency, RejectsEveryInconsistentField) {
+  // Run until the ROB holds waiting entries, loads and stores, and the
+  // fetch queue is not empty.
+  CoreRig rig;
+  std::string bytes;
+  CoreLayout l;
+  for (Cycle now = 0; now < 5000; ++now) {
+    rig.core.tick(now);
+    bytes = save_core(rig.core);
+    l = walk_core(bytes);
+    std::uint32_t iq = 0, lq = 0, sq = 0;
+    std::memcpy(&iq, bytes.data() + l.iq_count, 4);
+    std::memcpy(&lq, bytes.data() + l.iq_count + 4, 4);
+    std::memcpy(&sq, bytes.data() + l.iq_count + 8, 4);
+    if (now > 200 && l.n_rob >= 8 && iq >= 4 && lq >= 1 && sq >= 1 &&
+        get_u64(bytes, l.fetch_count) >= 1) {
+      break;
+    }
+  }
+  ASSERT_GE(l.n_rob, 8u);
+  ASSERT_EQ(get_u64(bytes, l.completions), l.n_rob);
+
+  // The walk is right: the untouched core loads and re-saves identically.
+  {
+    CoreRig fresh;
+    ckpt::Deserializer d(bytes);
+    fresh.core.load_state(d);
+    EXPECT_TRUE(d.at_end());
+    EXPECT_EQ(save_core(fresh.core), bytes);
+  }
+
+  const cpu::CoreConfig cfg;
+  const auto mutated = [&](std::size_t at, std::uint64_t v, std::size_t n) {
+    std::string m = bytes;
+    put_le(m, at, v, n);
+    return m;
+  };
+  // Counts past the configured capacities (and absurd ones).
+  for (const std::uint64_t n : {std::uint64_t{cfg.fetch_queue_entries} + 1,
+                                std::uint64_t{1} << 60}) {
+    expect_core_rejected(mutated(l.fetch_count, n, 8),
+                         "fetch queue over capacity");
+  }
+  for (const std::uint64_t n : {std::uint64_t{cfg.rob_entries} + 1,
+                                std::uint64_t{1} << 60}) {
+    expect_core_rejected(mutated(l.rob_count, n, 8), "ROB over capacity");
+  }
+  // ROB seqs with a gap.
+  const SeqNum seq1 = get_u64(bytes, l.entry(1));
+  expect_core_rejected(mutated(l.entry(1), seq1 + 1, 8), "not contiguous");
+  // Per-entry preconditions: producers older, one issue state, a class.
+  const SeqNum seq0 = get_u64(bytes, l.entry(0));
+  expect_core_rejected(mutated(l.entry(0) + kOpSrc0, seq0, 8),
+                       "younger producer");
+  const std::uint8_t issued =
+      static_cast<std::uint8_t>(bytes[l.entry(0) + kEntryIssued]);
+  expect_core_rejected(mutated(l.entry(0) + kEntryInIq, issued, 1),
+                       "issue state");
+  expect_core_rejected(mutated(l.entry(0) + kOpCls, 200, 1),
+                       "class out of range");
+  // The completion list must be exactly the ROB's (seq, complete_at) list.
+  expect_core_rejected(mutated(l.completions, l.n_rob - 1, 8),
+                       "completion list");
+  expect_core_rejected(mutated(l.completions + 8, seq0 + 1, 8),
+                       "completion list");
+  const std::size_t last_at = l.completions + 8 + (l.n_rob - 1) * 16 + 8;
+  expect_core_rejected(mutated(last_at, get_u64(bytes, last_at) ^ 1, 8),
+                       "completion list");
+  // Queue counts must equal the ROB's in_iq / load / store entries.
+  for (std::size_t field = 0; field < 3; ++field) {
+    const std::size_t at = l.iq_count + 4 * field;
+    std::uint32_t v = 0;
+    std::memcpy(&v, bytes.data() + at, 4);
+    expect_core_rejected(mutated(at, v + 1, 4), "queue counts");
+    expect_core_rejected(mutated(at, v - 1, 4), "queue counts");
+  }
+  // The fetch queue continues the ROB's seqs; the post-commit store
+  // window is bounded.
+  ASSERT_GE(get_u64(bytes, l.fetch_count), 1u);
+  const std::size_t fq0 = l.fetch_count + 8;
+  expect_core_rejected(mutated(fq0, get_u64(bytes, fq0) + 1, 8),
+                       "fetch queue seqs not contiguous");
+  expect_core_rejected(mutated(l.iq_count + 12, 17, 8),
+                       "committed-store window over capacity");
+  // A consistent core whose issue queue outgrows the configured one.
+  std::uint32_t iq = 0;
+  std::memcpy(&iq, bytes.data() + l.iq_count, 4);
+  cpu::CoreConfig small;
+  small.iq_entries = iq - 1;
+  expect_core_rejected(bytes, "issue queue over capacity", small);
 }
 
 // ---- Container fuzzing ------------------------------------------------------

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "ckpt/serializer.hpp"
 #include "workload/trace.hpp"
 
 namespace unsync::cpu {
@@ -359,6 +362,180 @@ TEST(OooCore, TraceModeUsesInternalPredictor) {
   // After warmup the predictor should be nearly perfect.
   EXPECT_LT(rig.core.stats().mispredicts, 20u);
   EXPECT_EQ(rig.core.stats().branches, 400u);
+}
+
+// ---- Scheduling structures (ROB ring, wakeup lists, store chain, fence) ----
+
+/// Records every commit as (seq, cycle).
+class CommitLog : public CommitEnv {
+ public:
+  void on_commit(CoreId, const workload::DynOp& op, Cycle now) override {
+    log.emplace_back(op.seq, now);
+  }
+  std::vector<std::pair<SeqNum, Cycle>> log;
+};
+
+/// A dependent mix: each op reads one or two recent producers, with
+/// multi-cycle multiplies and divides so entries wait on unissued ones.
+std::vector<DynOp> dependent_mix(std::uint64_t n) {
+  std::vector<DynOp> ops;
+  for (SeqNum i = 0; i < n; ++i) {
+    DynOp op = alu_op(i, i >= 1 ? i - 1 : kNoSeq, i >= 7 ? i - 7 : kNoSeq);
+    if (i % 13 == 0) op.cls = isa::InstClass::kIntDiv;
+    if (i % 5 == 0) op.cls = isa::InstClass::kIntMul;
+    if (i % 11 == 3) op = load_op(i, 0x40000 + (i % 32) * 8, i - 1);
+    if (i % 17 == 4) op = store_op(i, 0x40000 + (i % 32) * 8, i - 2);
+    ops.push_back(op);
+  }
+  return ops;
+}
+
+TEST(OooCoreRing, WrapsAcrossFlushesAndRepositions) {
+  // An 8-entry ROB sits in a 64-slot ring; 3000 ops wrap it ~47 times,
+  // and each flush or reposition restarts it at an arbitrary slot.
+  CoreConfig cfg = Rig::no_frontend();
+  cfg.rob_entries = 8;
+  cfg.iq_entries = 8;
+  CommitLog log;
+  Rig rig(dependent_mix(3000), cfg, &log);
+  Cycle now = 0;
+  SeqNum expect = 0;  // the next seq that must commit
+  const auto run_until = [&](SeqNum retired) {
+    while (rig.core.retired() < retired && !rig.core.done()) {
+      rig.core.tick(now++);
+      ASSERT_LT(now, 1000000u) << "core stopped making progress";
+    }
+  };
+  const std::pair<SeqNum, SeqNum> moves[] = {
+      {500, kNoSeq}, {900, 700}, {1300, 1301}, {1700, 2500}, {2600, 1000}};
+  for (const auto& [at, to] : moves) {
+    run_until(at);
+    if (to == kNoSeq) {
+      rig.core.flush_pipeline();
+    } else {
+      rig.core.set_position(to);
+    }
+    for (const auto& [seq, cycle] : log.log) EXPECT_EQ(seq, expect++);
+    expect = rig.core.retired();
+    log.log.clear();
+  }
+  run_until(3000);
+  for (const auto& [seq, cycle] : log.log) EXPECT_EQ(seq, expect++);
+  EXPECT_TRUE(rig.core.done());
+  EXPECT_EQ(rig.core.retired(), 3000u);
+}
+
+TEST(OooCoreRing, CheckpointWithWaitingEntriesResumesExactly) {
+  // A divide chain keeps consumers waiting on producers that have not
+  // issued yet (the unpipelined divider is busy).
+  std::vector<DynOp> ops;
+  for (SeqNum i = 0; i < 400; ++i) {
+    DynOp op = alu_op(i, i >= 1 ? i - 1 : kNoSeq, i >= 3 ? i - 3 : kNoSeq);
+    if (i % 6 == 0) op.cls = isa::InstClass::kIntDiv;
+    if (i % 9 == 2) op = load_op(i, 0x80000 + (i % 8) * 8, i - 1);
+    if (i % 10 == 5) op = store_op(i, 0x80000 + (i % 8) * 8, i - 1);
+    ops.push_back(op);
+  }
+  constexpr Cycle kCut = 45;
+
+  CommitLog ref_log;
+  Rig ref(ops, Rig::no_frontend(), &ref_log);
+  const Cycle ref_cycles = ref.run();
+
+  CommitLog a_log;
+  Rig a(ops, Rig::no_frontend(), &a_log);
+  for (Cycle now = 0; now < kCut; ++now) a.core.tick(now);
+  ASSERT_GT(a.core.rob_occupancy(), 10u);
+  ASSERT_LT(a.core.retired(), 20u);  // the divide chain holds the ROB
+  ckpt::Serializer s;
+  a.core.save_state(s);
+  a.memory.save_state(s);
+  const std::string bytes = s.take();
+
+  CommitLog b_log;
+  Rig b(ops, Rig::no_frontend(), &b_log);
+  ckpt::Deserializer d(bytes);
+  b.core.load_state(d);
+  b.memory.load_state(d);
+  EXPECT_TRUE(d.at_end());
+  ckpt::Serializer again;
+  b.core.save_state(again);
+  b.memory.save_state(again);
+  EXPECT_EQ(again.data(), bytes);
+
+  Cycle now = kCut;
+  while (!b.core.done()) b.core.tick(now++);
+  EXPECT_EQ(now, ref_cycles);
+  b_log.log.insert(b_log.log.begin(), a_log.log.begin(), a_log.log.end());
+  EXPECT_EQ(b_log.log, ref_log.log);
+  ckpt::Serializer ref_stats, b_stats;
+  save_stats(ref_stats, ref.core.stats());
+  save_stats(b_stats, b.core.stats());
+  EXPECT_EQ(b_stats.data(), ref_stats.data());
+}
+
+TEST(OooCoreRing, LoadForwardsFromYoungestOlderStore) {
+  // Two older stores to the load's word: the older one waits on a chain of
+  // three divides, the younger one is ready at once. The load must match
+  // the younger store and run its multiply chain under the divides,
+  // exactly as when the older store targets another word (of the same
+  // page, so D-TLB timing is the same); matching the older store instead
+  // would start the chain only after the divides.
+  constexpr Addr kWord = 0x500000, kOtherWord = 0x500040;
+  const auto make = [](Addr older_store, Addr younger_store) {
+    std::vector<DynOp> ops;
+    for (SeqNum i = 0; i < 3; ++i) {
+      DynOp div = alu_op(i, i == 0 ? kNoSeq : i - 1);
+      div.cls = isa::InstClass::kIntDiv;
+      ops.push_back(div);
+    }
+    ops.push_back(store_op(3, older_store, 2));
+    ops.push_back(store_op(4, younger_store));
+    ops.push_back(load_op(5, kWord));
+    for (SeqNum i = 6; i < 16; ++i) {
+      DynOp mul = alu_op(i, i - 1);
+      mul.cls = isa::InstClass::kIntMul;
+      ops.push_back(mul);
+    }
+    return ops;
+  };
+  Rig both(make(kWord, kWord));
+  Rig younger_only(make(kOtherWord, kWord));
+  Rig older_only(make(kWord, kOtherWord));
+  const Cycle t_both = both.run();
+  EXPECT_EQ(t_both, younger_only.run());
+  EXPECT_GT(older_only.run(), t_both + 20);
+  // Forwarded, so the load never reached the cache.
+  EXPECT_EQ(both.memory.l1(0).hits() + both.memory.l1(0).misses(), 0u);
+}
+
+TEST(OooCoreRing, MemoryOpsNeverPassAnOlderSerializingOp) {
+  // The serializing op waits behind a divide at the ROB head; the younger
+  // load and store are ready at dispatch but must not issue (no D-TLB
+  // access) until it retires.
+  std::vector<DynOp> ops;
+  DynOp div = alu_op(0);
+  div.cls = isa::InstClass::kIntDiv;
+  ops.push_back(div);
+  ops.push_back(serial_op(1));
+  ops.push_back(load_op(2, 0x700000));
+  ops.push_back(store_op(3, 0x700100));
+  ops.push_back(alu_op(4));
+  Rig rig(std::move(ops));
+  Cycle now = 0;
+  Cycle retired_at = 0;
+  while (!rig.core.done()) {
+    const bool before = rig.core.stats().serializing == 0;
+    rig.core.tick(now++);
+    if (before && rig.core.stats().serializing == 1) retired_at = now - 1;
+    if (rig.core.stats().serializing == 0) {
+      ASSERT_EQ(rig.core.dtlb().hits() + rig.core.dtlb().misses(), 0u)
+          << "a memory op issued past the fence at cycle " << now - 1;
+    }
+    ASSERT_LT(now, 10000u);
+  }
+  EXPECT_GE(retired_at, 20u);  // the fence really was held by the divide
+  EXPECT_EQ(rig.core.dtlb().hits() + rig.core.dtlb().misses(), 2u);
 }
 
 

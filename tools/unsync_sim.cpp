@@ -45,8 +45,9 @@
 // for any thread count.
 //
 // Exit codes: 0 = success; 1 = simulation/runtime error (assembly failure,
-// unreadable trace, model error); 2 = configuration/usage error (unknown
-// subcommand or system, malformed or unrecognized key=value).
+// unopenable trace, model error); 2 = configuration/usage error (unknown
+// subcommand or system, malformed or unrecognized key=value) or a malformed
+// input file (checkpoint, journal, trace).
 //
 // Examples:
 //   unsync_sim run system=unsync bench=bzip2 insts=100000 ser=1e-9 report=1
@@ -1159,6 +1160,10 @@ int main(int argc, char** argv) {
     // A malformed / corrupt / mismatched checkpoint or journal is an input
     // problem ("fix the file you pointed me at"), not a simulation failure.
     Log::error(std::string("checkpoint error: ") + e.what());
+    return kExitConfigError;
+  } catch (const workload::TraceError& e) {
+    // A malformed trace file is an input problem, like a bad checkpoint.
+    Log::error(std::string("trace error: ") + e.what());
     return kExitConfigError;
   } catch (const isa::AsmError& e) {
     Log::error(std::string("assembly error: ") + e.what());
