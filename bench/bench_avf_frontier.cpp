@@ -17,19 +17,17 @@
 //      (area/power), and the campaign-wide energy delta at the synthesis
 //      model's 300 MHz.
 //
-// json=<path> writes "unsync.bench_avf.v1", gated in CI by
-//     tools/check_bench_regression.py --avf
-//         --avf-baseline bench/BENCH_avf_baseline.json
-// which enforces: identical == true (worker-count + cross-plan bit-cycle
-// determinism), frontier monotonicity (residual AVF and SDC never increase,
-// area/power never decrease, along none -> parity -> secded), zero SDC
-// under full single-bit coverage, and exact per-structure bit-cycle
-// equality with the committed baseline. Refresh after a deliberate model
-// change with --write-avf-baseline.
+// json=<path> writes its bench report (bench_util.hpp), gated in CI
+// against bench/BENCH_baseline.json (docs/FAULTS.md has the command):
+// identical must hold (worker-count + cross-plan bit-cycle determinism),
+// the frontier must be monotone (residual AVF and SDC never increase,
+// area/power never decrease, along none -> parity -> secded), full
+// single-bit coverage must leave zero SDC, and the per-structure
+// bit-cycles must exactly match the committed cells.
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -176,49 +174,52 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!args.json.empty()) {
-    std::ostringstream js;
-    js << "{\n  \"schema\": \"unsync.bench_avf.v1\",\n"
-       << "  \"insts\": " << args.insts << ",\n"
-       << "  \"seed\": " << args.seed << ",\n"
-       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
-       << "  \"plans\": [\n";
-    for (std::size_t p = 0; p < rows.size(); ++p) {
-      const auto& row = rows[p];
-      const auto& r = row.injection;
-      js << "    {\"plan\": \"" << row.plan.name << "\""
-         << ", \"total_avf\": " << row.report.total_avf()
-         << ", \"total_residual_avf\": " << row.report.total_residual_avf()
-         << ", \"area_delta_um2\": " << row.report.area_delta_um2()
-         << ", \"power_delta_w\": " << row.report.power_delta_w()
-         << ", \"energy_delta_j\": " << row.energy_delta_j
-         << ", \"trials\": " << r.total() << ", \"sdc\": " << r.sdc
-         << ", \"detected\": " << (r.recovered + r.unrecoverable)
-         << ", \"corrected_in_place\": " << r.corrected_in_place
-         << ", \"unrecoverable\": " << r.unrecoverable
-         << ", \"masked\": " << r.masked << ",\n      \"structures\": [\n";
-      for (std::size_t i = 0; i < row.report.structures.size(); ++i) {
-        const auto& s = row.report.structures[i];
-        js << "        {\"structure\": \"" << fault::name_of(s.structure)
-           << "\", \"bit_cycles\": " << s.bit_cycles
-           << ", \"capacity_bit_cycles\": " << s.capacity_bit_cycles
-           << ", \"avf\": " << s.avf
-           << ", \"residual_avf\": " << s.residual_avf
-           << ", \"area_delta_um2\": " << s.area_delta_um2 << "}"
-           << (i + 1 < row.report.structures.size() ? "," : "") << "\n";
-      }
-      js << "      ]}" << (p + 1 < rows.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    if (args.json == "-") {
-      std::cout << js.str();
-    } else {
-      std::ofstream f(args.json);
-      if (!f) throw std::runtime_error("cannot write json file " + args.json);
-      f << js.str();
-      std::cout << "(frontier JSON written to " << args.json << ")\n";
+  bench::Report report("bench_avf_frontier");
+  report.cell("grid.insts", args.insts);
+  report.cell("grid.seed", args.seed);
+  const auto& first = rows.front().report.structures;
+  for (const auto& s : first) {
+    report.cell("bit_cycles/" + std::string(fault::name_of(s.structure)),
+                s.bit_cycles);
+  }
+  report.metric("identical", identical ? 1 : 0);
+  report.metric("structures", static_cast<double>(first.size()));
+  // Protection joins at report time only: every plan must see the same
+  // per-structure bit-cycles.
+  std::uint64_t differing = 0;
+  for (const auto& row : rows) {
+    const auto& ss = row.report.structures;
+    differing += ss.size() != first.size();
+    for (std::size_t i = 0; i < std::min(ss.size(), first.size()); ++i) {
+      differing += ss[i].structure != first[i].structure ||
+                   ss[i].bit_cycles != first[i].bit_cycles;
     }
   }
+  report.metric("bit_cycles_plan_mismatches", static_cast<double>(differing));
+  // Along none -> parity -> secded, residual AVF and SDC must never rise
+  // and area/power must never fall; the baseline holds the float slack.
+  for (std::size_t p = 1; p < rows.size(); ++p) {
+    const auto& prev = rows[p - 1];
+    const auto& cur = rows[p];
+    const std::string step = prev.plan.name + "->" + cur.plan.name;
+    report.metric("residual_avf_rise/" + step,
+                  cur.report.total_residual_avf() -
+                      prev.report.total_residual_avf());
+    report.metric("sdc_rise/" + step,
+                  static_cast<double>(cur.injection.sdc) -
+                      static_cast<double>(prev.injection.sdc));
+    report.metric("area_rise/" + step, cur.report.area_delta_um2() -
+                                           prev.report.area_delta_um2());
+    report.metric("power_rise/" + step, cur.report.power_delta_w() -
+                                            prev.report.power_delta_w());
+  }
+  // Full single-bit coverage leaves no silent corruption.
+  for (const auto& row : rows) {
+    if (row.plan.name == "none") continue;
+    report.metric("sdc/" + row.plan.name,
+                  static_cast<double>(row.injection.sdc));
+  }
+  report.write(args.json);
 
   bench::print_shape_note(
       "the frontier orders none -> parity -> secded: residual AVF and SDC "

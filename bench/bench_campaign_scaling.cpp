@@ -19,11 +19,11 @@
 // 1, 2, 4, 8 workers, then again), so a shift in host load during the
 // bench hits every point alike.
 //
-// json=<path> writes a machine-readable report
-// ("unsync.bench_campaign_scaling.v2", with the host's core count) that
-// tools/check_bench_regression.py --campaign gates in CI: identical must
-// hold, and efficiency at workers=1 and at the largest non-oversubscribed
-// multi-worker point must clear the bar.
+// json=<path> writes its bench report (bench_util.hpp; docs/CAMPAIGNS.md
+// has the gate command): identical must hold, and efficiency at workers=1
+// and at the largest non-oversubscribed multi-worker point must clear the
+// committed bound. A host with no such point reports scaling as
+// NOT EVALUATED (cores=N).
 #include <algorithm>
 #include <iostream>
 #include <sstream>
@@ -53,17 +53,11 @@ constexpr int kReps = 3;
 struct Sample {
   double wall_seconds = 0.0;
   std::uint64_t steals = 0;
-  std::uint64_t steal_failures = 0;
 };
 
 struct Point {
   unsigned workers = 0;
-  double wall_seconds = 0.0;
-  double jobs_per_sec = 0.0;
-  double speedup = 0.0;
   double efficiency = 0.0;
-  std::uint64_t steals = 0;
-  std::uint64_t steal_failures = 0;
 };
 
 std::uint64_t counter_of(const obs::MetricsSnapshot& snap,
@@ -128,9 +122,7 @@ int main(int argc, char** argv) {
       same[i] = same[i] && d == reference;
       samples[i].push_back(
           {out.wall_seconds,
-           counter_of(out.scheduler_metrics, "campaign.scheduler.steals"),
-           counter_of(out.scheduler_metrics,
-                      "campaign.scheduler.steal_failures")});
+           counter_of(out.scheduler_metrics, "campaign.scheduler.steals")});
     }
   }
   const double serial_wall = median(samples[0]).wall_seconds;
@@ -146,19 +138,13 @@ int main(int argc, char** argv) {
     const Sample m = median(samples[i]);
     all_identical = all_identical && same[i];
 
-    Point p;
-    p.workers = w;
-    p.wall_seconds = m.wall_seconds;
-    p.jobs_per_sec = static_cast<double>(n_jobs) / m.wall_seconds;
-    p.speedup = serial_wall / m.wall_seconds;
-    p.efficiency = p.speedup / std::min(w, cores);
-    p.steals = m.steals;
-    p.steal_failures = m.steal_failures;
-    t.add_row({std::to_string(w), TextTable::num(p.wall_seconds, 3),
-               TextTable::num(p.jobs_per_sec, 0),
-               TextTable::num(p.speedup, 2), TextTable::num(p.efficiency, 2),
-               std::to_string(p.steals), same[i] ? "yes" : "NO"});
-    points.push_back(p);
+    const double speedup = serial_wall / m.wall_seconds;
+    const double efficiency = speedup / std::min(w, cores);
+    t.add_row({std::to_string(w), TextTable::num(m.wall_seconds, 3),
+               TextTable::num(static_cast<double>(n_jobs) / m.wall_seconds, 0),
+               TextTable::num(speedup, 2), TextTable::num(efficiency, 2),
+               std::to_string(m.steals), same[i] ? "yes" : "NO"});
+    points.push_back({w, efficiency});
   }
   t.print(std::cout);
 
@@ -168,36 +154,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!args.json.empty()) {
-    std::ostringstream js;
-    js << "{\n  \"schema\": \"unsync.bench_campaign_scaling.v2\",\n"
-       << "  \"jobs\": " << n_jobs << ",\n"
-       << "  \"insts_per_job\": " << per_job_insts << ",\n"
-       << "  \"hardware_concurrency\": " << cores << ",\n"
-       << "  \"serial_wall_seconds\": " << serial_wall << ",\n"
-       << "  \"identical\": " << (all_identical ? "true" : "false") << ",\n"
-       << "  \"points\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const auto& p = points[i];
-      js << "    {\"workers\": " << p.workers
-         << ", \"wall_seconds\": " << p.wall_seconds
-         << ", \"jobs_per_sec\": " << p.jobs_per_sec
-         << ", \"speedup\": " << p.speedup
-         << ", \"efficiency\": " << p.efficiency
-         << ", \"steals\": " << p.steals
-         << ", \"steal_failures\": " << p.steal_failures << "}"
-         << (i + 1 < points.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    if (args.json == "-") {
-      std::cout << js.str();
-    } else {
-      std::ofstream f(args.json);
-      if (!f) throw std::runtime_error("cannot write json file " + args.json);
-      f << js.str();
-      std::cout << "(scaling JSON written to " << args.json << ")\n";
-    }
+  // The gate bounds efficiency at workers=1 (the pool's own overhead,
+  // measurable on any host) and at the largest multi-worker point the host
+  // can run in parallel; a 1-core host has no such point.
+  bench::Report report("bench_campaign_scaling");
+  report.metric("identical", all_identical ? 1 : 0);
+  report.metric("overhead_efficiency", points.front().efficiency);
+  const Point* scaling = nullptr;
+  for (const auto& p : points) {
+    if (p.workers >= 2 && p.workers <= cores) scaling = &p;
   }
+  if (scaling) {
+    report.metric("scaling_efficiency", scaling->efficiency);
+  } else {
+    report.not_evaluated("scaling_efficiency",
+                         "cores=" + std::to_string(cores));
+  }
+  report.write(args.json);
 
   bench::print_shape_note(
       "efficiency at workers <= cores should stay near 1.0, and the "

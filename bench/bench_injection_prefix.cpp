@@ -14,17 +14,13 @@
 // cell) with many Monte-Carlo trials per point, at soft-error rates low
 // enough that most trials see few or no arrivals.
 //
-// json=<path> writes "unsync.bench_prefix.v1", which
-//     tools/check_bench_regression.py --prefix
-//         --prefix-baseline bench/BENCH_prefix_baseline.json
-// gates in CI: identical must hold, the speedup must clear
-// --min-prefix-speedup (default 3x), and the deterministic engine counters
-// (goldens built, jobs restored/spliced/bypassed, cycles skipped) must
-// exactly match the committed baseline — they are a pure function of the
-// grid, independent of worker count and host. Refresh after a deliberate
-// engine change with --write-prefix-baseline.
+// json=<path> writes its bench report (bench_util.hpp), gated in CI
+// against bench/BENCH_baseline.json (docs/CAMPAIGNS.md has the command):
+// identical must hold, the speedup must clear the committed 3x, and the
+// deterministic engine counters (goldens built, jobs restored/spliced/
+// bypassed, cycles skipped) must exactly match the committed cells — they
+// are a pure function of the grid, independent of worker count and host.
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -136,39 +132,28 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!args.json.empty()) {
-    std::ostringstream js;
-    js << "{\n  \"schema\": \"unsync.bench_prefix.v1\",\n"
-       << "  \"insts\": " << args.insts << ",\n"
-       << "  \"seed\": " << args.seed << ",\n"
-       << "  \"trials\": " << trials << ",\n"
-       << "  \"prefix_interval\": " << prefix_opts.prefix.interval << ",\n"
-       << "  \"jobs\": " << jobs.size() << ",\n"
-       << "  \"naive_wall_seconds\": " << naive.wall_seconds << ",\n"
-       << "  \"prefix_wall_seconds\": " << prefix.wall_seconds << ",\n"
-       << "  \"speedup\": " << speedup << ",\n"
-       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
-       << "  \"counters\": {\n";
-    for (std::size_t i = 0; i < std::size(names); ++i) {
-      js << "    \"" << names[i] << "\": " << counter(prefix, names[i])
-         << (i + 1 < std::size(names) ? "," : "") << "\n";
-    }
-    js << "  }\n}\n";
-    if (args.json == "-") {
-      std::cout << js.str();
-    } else {
-      std::ofstream f(args.json);
-      if (!f) throw std::runtime_error("cannot write json file " + args.json);
-      f << js.str();
-      std::cout << "(prefix JSON written to " << args.json << ")\n";
-    }
+  // The gated counters are a pure function of the grid (worker-count and
+  // host independent); hits/misses/evictions/bytes depend on scheduling
+  // and cache pressure, so only the table shows them.
+  bench::Report report("bench_injection_prefix");
+  report.cell("grid.insts", args.insts);
+  report.cell("grid.seed", args.seed);
+  report.cell("grid.trials", trials);
+  report.cell("grid.prefix_interval", prefix_opts.prefix.interval);
+  for (const char* n : {"goldens_built", "jobs_restored",
+                        "jobs_early_terminated", "jobs_bypassed",
+                        "cycles_skipped"}) {
+    report.cell(n, counter(prefix, n));
   }
+  report.metric("identical", identical ? 1 : 0);
+  report.metric("speedup", speedup);
+  report.write(args.json);
 
   bench::print_shape_note(
       "most Monte-Carlo trials at realistic soft-error rates share their "
       "entire fault-free prefix with the golden run: expect >=3x wall-clock "
       "speedup on this grid, identical=yes, and engine counters exactly "
-      "matching bench/BENCH_prefix_baseline.json — the engine is an "
+      "matching bench/BENCH_baseline.json — the engine is an "
       "execution strategy, never a result change.");
   return 0;
 }

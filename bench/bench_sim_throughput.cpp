@@ -1,8 +1,26 @@
 // Google-benchmark microbenchmarks of the simulator substrate itself:
 // simulation throughput (simulated instructions per wall-clock second) for
 // each system, plus hot substrate primitives.
+//
+// Every --benchmark_* flag applies. json=<path> also writes the
+// cycle-engine bench report (bench_util.hpp) from each benchmark's median
+// items_per_second over its repetitions; CI runs
+//     bench_sim_throughput
+//         --benchmark_filter='BM_CycleEngine|BM_SyntheticStream$'
+//         --benchmark_repetitions=5
+//         --benchmark_enable_random_interleaving=true json=BENCH_sim.json
+// and gates it against bench/BENCH_baseline.json (docs/ENGINE.md).
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <algorithm>
+#include <iostream>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "bench_util.hpp"
 #include "core/baseline.hpp"
 #include "core/factory.hpp"
 #include "core/reunion_system.hpp"
@@ -84,7 +102,7 @@ BENCHMARK(BM_UnSyncSystem)->Arg(5000)->Arg(20000);
 // naive loop vs quiescence fast-forwarding, on the stall-heavy galgel
 // profile — long ROB-full and fence windows are exactly what fast-forwarding
 // elides, so this pair is the regression gate for both the kernel hot path
-// and the ff speedup (tools/check_bench_regression.py; docs/ENGINE.md).
+// and the ff speedup (see the report in main below; docs/ENGINE.md).
 // Items processed = simulated cycles, so items_per_second is cycles/sec.
 void BM_CycleEngine(benchmark::State& state, core::SystemKind kind,
                     bool fast_forward) {
@@ -127,4 +145,75 @@ void BM_ReunionSystem(benchmark::State& state) {
 }
 BENCHMARK(BM_ReunionSystem)->Arg(5000)->Arg(20000);
 
+/// Collects every repetition's items_per_second while printing as usual.
+class Collector : public benchmark::ConsoleReporter {
+ public:
+  Collector() : ConsoleReporter(isatty(STDOUT_FILENO) ? OO_Color : OO_None) {}
+
+  void ReportRuns(const std::vector<Run>& runs) override {
+    for (const auto& run : runs) {
+      const auto it = run.counters.find("items_per_second");
+      if (run.run_type == Run::RT_Iteration && !run.error_occurred &&
+          it != run.counters.end()) {
+        items_per_second[run.benchmark_name()].push_back(it->second.value);
+      }
+    }
+    ConsoleReporter::ReportRuns(runs);
+  }
+
+  std::map<std::string, std::vector<double>> items_per_second;
+};
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return n % 2 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
+
 }  // namespace
+
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  std::vector<std::string> positional;
+  const Config cfg = Config::from_args(argc, argv, &positional);
+  const std::string json = cfg.get_string("json", "");
+  if (!positional.empty() || cfg.report_unused("bench_sim_throughput")) {
+    std::cerr << "usage: bench_sim_throughput [--benchmark_*...] "
+                 "[json=<path>]\n";
+    return 2;
+  }
+  Collector collector;
+  benchmark::RunSpecifiedBenchmarks(&collector);
+  benchmark::Shutdown();
+
+  std::map<std::string, double> med;
+  for (const auto& [name, runs] : collector.items_per_second) {
+    med[name] = median(runs);
+  }
+  bench::Report report("bench_sim_throughput");
+  // Gate 1: ff vs naive on the stall-heavy galgel point, same run and host.
+  for (const char* sys : {"baseline", "unsync", "reunion"}) {
+    const std::string base = std::string("BM_CycleEngine/") + sys;
+    if (!med.count(base + "_naive") || !med.count(base + "_ff")) continue;
+    const double ratio = med[base + "_ff"] / med[base + "_naive"];
+    std::cout << "ff speedup (median) " << sys << ": "
+              << TextTable::num(ratio, 2) << "x\n";
+    if (sys == std::string("baseline")) {
+      report.metric("ff_speedup/baseline", ratio);
+    }
+  }
+  // Gate 2: cycles/sec normalised by the calibration stream from the same
+  // run, which divides out raw host speed. Without the calibration the
+  // throughput metrics are absent, and the gate fails them as missing.
+  const auto cal = med.find("BM_SyntheticStream");
+  if (cal != med.end() && cal->second > 0) {
+    report.metric("calibration", cal->second);
+    for (const auto& [name, ips] : med) {
+      if (name.rfind("BM_CycleEngine/", 0) == 0) {
+        report.metric("throughput/" + name, ips / cal->second);
+      }
+    }
+  }
+  report.write(json);
+  return 0;
+}

@@ -15,18 +15,16 @@
 // that a small in-order checker is cheaper than synchronising two big
 // cores.
 //
-// json=<path> writes "unsync.bench_systems.v1", gated in CI by
-//     tools/check_bench_regression.py --systems
-//         --systems-baseline bench/BENCH_systems_baseline.json
-// which enforces: identical == true (worker-count determinism), full
-// hetero/lockstep coverage with hetero >= lockstep, hetero error-free
-// cycles < reunion's, and exact per-cell integer equality with the
-// committed baseline. Refresh after a deliberate model change with
-// --write-systems-baseline.
+// json=<path> writes its bench report (bench_util.hpp), gated in CI
+// against bench/BENCH_baseline.json (docs/SYSTEMS.md has the command):
+// identical must hold (worker-count determinism), hetero must detect every
+// injected strike with coverage >= lockstep's, hetero's error-free cycles
+// must stay below reunion's, and every per-cell integer must exactly match
+// the committed cells.
 #include <array>
 #include <cstdint>
+#include <cstdio>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -45,6 +43,13 @@ constexpr std::array<core::SystemKind, 6> kSystems = {
 constexpr const char* kBenches[] = {"gzip", "susan"};
 constexpr double kSerPoints[] = {0.0, 5e-4};
 
+/// The SER in shortest %g form ("0", "0.0005").
+std::string ser_label(double ser) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", ser);
+  return buf;
+}
+
 struct Cell {
   std::string bench;
   std::string system;
@@ -52,6 +57,10 @@ struct Cell {
   core::RunResult r;
 
   std::uint64_t detected() const { return r.recoveries + r.rollbacks; }
+  /// "gzip/hetero/ser=0.0005": the cell's name in the bench report.
+  std::string key() const {
+    return bench + "/" + system + "/ser=" + ser_label(ser);
+  }
 };
 
 }  // namespace
@@ -91,13 +100,13 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto baseline_cycles = [&](const std::string& bench) {
+  const auto cell_at = [&](const std::string& bench,
+                           const std::string& system,
+                           double ser) -> const Cell& {
     for (const auto& c : cells) {
-      if (c.bench == bench && c.system == "baseline" && c.ser == 0.0) {
-        return static_cast<double>(c.r.cycles);
-      }
+      if (c.bench == bench && c.system == system && c.ser == ser) return c;
     }
-    return 1.0;
+    throw std::logic_error("system matrix lacks " + bench + "/" + system);
   };
 
   TextTable t("System matrix (" + std::to_string(args.insts) + " insts x " +
@@ -108,7 +117,7 @@ int main(int argc, char** argv) {
     t.add_row({c.bench, c.system, TextTable::num(c.ser, 4),
                std::to_string(c.r.cycles),
                TextTable::num(static_cast<double>(c.r.cycles) /
-                                  baseline_cycles(c.bench),
+                                  cell_at(c.bench, "baseline", 0.0).r.cycles,
                               3),
                std::to_string(c.r.errors_injected),
                std::to_string(c.detected()),
@@ -125,37 +134,51 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!args.json.empty()) {
-    std::ostringstream js;
-    js << "{\n  \"schema\": \"unsync.bench_systems.v1\",\n"
-       << "  \"insts\": " << args.insts << ",\n"
-       << "  \"seed\": " << args.seed << ",\n"
-       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
-       << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const auto& c = cells[i];
-      js << "    {\"bench\": \"" << c.bench << "\", \"system\": \""
-         << c.system << "\", \"ser\": " << c.ser
-         << ", \"cycles\": " << c.r.cycles
-         << ", \"instructions\": " << c.r.instructions
-         << ", \"injected\": " << c.r.errors_injected
-         << ", \"detected\": " << c.detected()
-         << ", \"rollbacks\": " << c.r.rollbacks
-         << ", \"recoveries\": " << c.r.recoveries
-         << ", \"cb_full_stalls\": " << c.r.cb_full_stalls
-         << ", \"fingerprint_syncs\": " << c.r.fingerprint_syncs << "}"
-         << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    if (args.json == "-") {
-      std::cout << js.str();
-    } else {
-      std::ofstream f(args.json);
-      if (!f) throw std::runtime_error("cannot write json file " + args.json);
-      f << js.str();
-      std::cout << "(matrix JSON written to " << args.json << ")\n";
-    }
+  bench::Report report("bench_system_matrix");
+  report.cell("grid.insts", args.insts);
+  report.cell("grid.seed", args.seed);
+  for (const auto& c : cells) {
+    const std::string key = c.key() + "/";
+    report.cell(key + "cycles", c.r.cycles);
+    report.cell(key + "injected", c.r.errors_injected);
+    report.cell(key + "detected", c.detected());
+    report.cell(key + "rollbacks", c.r.rollbacks);
+    report.cell(key + "recoveries", c.r.recoveries);
+    report.cell(key + "cb_full_stalls", c.r.cb_full_stalls);
+    report.cell(key + "fingerprint_syncs", c.r.fingerprint_syncs);
   }
+  report.metric("identical", identical ? 1 : 0);
+  // The cross-architecture properties, each a named metric the baseline
+  // bounds: hetero detects every strike (at least lockstep's coverage) and
+  // its error-free cycles stay strictly below reunion's.
+  const auto coverage = [](const Cell& c) {
+    const auto injected = c.r.errors_injected;
+    return injected ? static_cast<double>(c.detected()) / injected : 1.0;
+  };
+  std::uint64_t error_sers = 0;
+  for (const double ser : kSerPoints) {
+    if (ser > 0.0) ++error_sers;
+  }
+  report.metric("error_ser_points", static_cast<double>(error_sers));
+  for (const char* b : kBenches) {
+    for (const double ser : kSerPoints) {
+      if (ser == 0.0) continue;
+      const Cell& het = cell_at(b, "hetero", ser);
+      const Cell& lock = cell_at(b, "lockstep", ser);
+      const std::string at = std::string(b) + "/ser=" + ser_label(ser);
+      report.metric("hetero_injected/" + at,
+                    static_cast<double>(het.r.errors_injected));
+      report.metric("hetero_missed/" + at,
+                    static_cast<double>(het.r.errors_injected) -
+                        static_cast<double>(het.detected()));
+      report.metric("hetero_coverage_over_lockstep/" + at,
+                    coverage(het) - coverage(lock));
+    }
+    report.metric("reunion_minus_hetero_cycles/" + std::string(b),
+                  static_cast<double>(cell_at(b, "reunion", 0.0).r.cycles) -
+                      static_cast<double>(cell_at(b, "hetero", 0.0).r.cycles));
+  }
+  report.write(args.json);
 
   bench::print_shape_note(
       "redundancy is never free: every protected system costs cycles over "

@@ -12,18 +12,16 @@
 // cross-checks that the merged output is byte-identical to the pure
 // detailed campaign — the end-to-end determinism contract of screening.
 //
-// json=<path> writes "unsync.bench_tier.v1", which
-//     tools/check_bench_regression.py --tier
-//         --tier-baseline bench/BENCH_tier_baseline.json
-// gates in CI: identical must hold, the speedup must clear
-// --min-tier-speedup (default 10x), and every cell's cpi_rel_err /
-// err_dev must stay within the committed per-cell bound (the validated-
-// fast-model methodology: the fast tier is only trustworthy while its
-// error stays inside the published envelope). Refresh the envelope after
-// a deliberate model change with --write-tier-baseline.
+// json=<path> writes its bench report (bench_util.hpp), gated in CI
+// against bench/BENCH_baseline.json (docs/TIERS.md has the command):
+// identical must hold, the speedup must clear the committed 10x, no cell's
+// err_dev may be nonzero, and every cell's cpi_rel_err must stay within its
+// committed bound (the validated-fast-model methodology: the fast tier is
+// only trustworthy while its error stays inside the published envelope).
+// After a deliberate model change, --write-baseline refreshes each bound
+// to measured x 1.5 + 0.02.
 #include <cmath>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -33,17 +31,6 @@
 namespace {
 
 using namespace unsync;
-
-struct Cell {
-  std::string bench;
-  std::string system;
-  double cpi_detailed = 0.0;
-  double cpi_fast = 0.0;
-  double cpi_rel_err = 0.0;
-  std::uint64_t errors_detailed = 0;
-  std::uint64_t errors_fast = 0;
-  std::uint64_t err_dev = 0;
-};
 
 double cpi_of(const core::RunResult& r) {
   const double ipc = r.thread_ipc();
@@ -95,28 +82,24 @@ int main(int argc, char** argv) {
   TextTable t("Fast-tier error bounds (vs detailed, ser=2e-4)");
   t.set_header({"benchmark", "system", "CPI det", "CPI fast", "rel err",
                 "errors det/fast"});
-  std::vector<Cell> cells;
+  bench::Report report("bench_tier_screening");
+  std::uint64_t diverged = 0;  // cells whose fault-arrival schedule differs
   for (std::size_t i = 0; i < detailed_jobs.size(); ++i) {
-    Cell c;
-    c.bench = detailed_jobs[i].label;
-    c.system = core::name_of(detailed_jobs[i].system);
-    c.cpi_detailed = cpi_of(detailed.results[i]);
-    c.cpi_fast = cpi_of(fast.results[i]);
-    c.cpi_rel_err = c.cpi_detailed > 0
-                        ? std::abs(c.cpi_fast - c.cpi_detailed) /
-                              c.cpi_detailed
-                        : 0.0;
-    c.errors_detailed = detailed.results[i].errors_injected;
-    c.errors_fast = fast.results[i].errors_injected;
-    c.err_dev = c.errors_detailed > c.errors_fast
-                    ? c.errors_detailed - c.errors_fast
-                    : c.errors_fast - c.errors_detailed;
-    t.add_row({c.bench, c.system, TextTable::num(c.cpi_detailed, 3),
-               TextTable::num(c.cpi_fast, 3),
-               TextTable::pct(c.cpi_rel_err),
-               std::to_string(c.errors_detailed) + "/" +
-                   std::to_string(c.errors_fast)});
-    cells.push_back(c);
+    const std::string bench = detailed_jobs[i].label;
+    const std::string system = core::name_of(detailed_jobs[i].system);
+    const double cpi_detailed = cpi_of(detailed.results[i]);
+    const double cpi_fast = cpi_of(fast.results[i]);
+    const double rel_err =
+        cpi_detailed > 0 ? std::abs(cpi_fast - cpi_detailed) / cpi_detailed
+                         : 0.0;
+    const std::uint64_t errors_detailed = detailed.results[i].errors_injected;
+    const std::uint64_t errors_fast = fast.results[i].errors_injected;
+    if (errors_detailed != errors_fast) ++diverged;
+    report.metric("cpi_rel_err/" + bench + "/" + system, rel_err);
+    t.add_row({bench, system, TextTable::num(cpi_detailed, 3),
+               TextTable::num(cpi_fast, 3), TextTable::pct(rel_err),
+               std::to_string(errors_detailed) + "/" +
+                   std::to_string(errors_fast)});
   }
   t.print(std::cout);
   std::cout << "\ndetailed wall: " << TextTable::num(detailed.wall_seconds, 3)
@@ -131,43 +114,18 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (!args.json.empty()) {
-    std::ostringstream js;
-    js << "{\n  \"schema\": \"unsync.bench_tier.v1\",\n"
-       << "  \"insts\": " << args.insts << ",\n"
-       << "  \"seed\": " << args.seed << ",\n"
-       << "  \"ser\": " << ser << ",\n"
-       << "  \"detailed_wall_seconds\": " << detailed.wall_seconds << ",\n"
-       << "  \"fast_wall_seconds\": " << fast.wall_seconds << ",\n"
-       << "  \"speedup\": " << speedup << ",\n"
-       << "  \"identical\": " << (identical ? "true" : "false") << ",\n"
-       << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const auto& c = cells[i];
-      js << "    {\"bench\": \"" << c.bench << "\", \"system\": \""
-         << c.system << "\", \"cpi_detailed\": " << c.cpi_detailed
-         << ", \"cpi_fast\": " << c.cpi_fast
-         << ", \"cpi_rel_err\": " << c.cpi_rel_err
-         << ", \"errors_detailed\": " << c.errors_detailed
-         << ", \"errors_fast\": " << c.errors_fast
-         << ", \"err_dev\": " << c.err_dev << "}"
-         << (i + 1 < cells.size() ? "," : "") << "\n";
-    }
-    js << "  ]\n}\n";
-    if (args.json == "-") {
-      std::cout << js.str();
-    } else {
-      std::ofstream f(args.json);
-      if (!f) throw std::runtime_error("cannot write json file " + args.json);
-      f << js.str();
-      std::cout << "(tier JSON written to " << args.json << ")\n";
-    }
-  }
+  report.cell("grid.insts", args.insts);
+  report.cell("grid.seed", args.seed);
+  report.metric("grid.ser", ser);
+  report.metric("identical", identical ? 1 : 0);
+  report.metric("speedup", speedup);
+  report.metric("err_dev_cells", static_cast<double>(diverged));
+  report.write(args.json);
 
   bench::print_shape_note(
       "the fast tier trades per-structure fidelity for throughput: expect "
       ">=10x wall-clock speedup on this grid, CPI within the committed "
-      "per-cell envelope (bench/BENCH_tier_baseline.json), and err_dev 0 "
+      "per-cell envelope (bench/BENCH_baseline.json), and err_dev 0 "
       "everywhere — both tiers draw the identical fault-arrival schedule.");
   return 0;
 }

@@ -9,12 +9,15 @@
 //   threads=<N>  application threads (pairs for redundant) (default 1)
 //   workers=<N>  host threads for grid fan-out             (default cores)
 //   jobs=<N>     grid size for benches that scale job count (default per
-//                bench; only bench_campaign_scaling reads it today)
-//   json=<path>  also dump the raw campaign grid as JSON ("-" = stdout)
+//                bench; bench_campaign_scaling and bench_injection_prefix)
+//   json=<path>  write JSON ("-" = stdout): the gated benches write their
+//                Report ("unsync.bench_report.v1", below); the others dump
+//                the raw campaign grid they built the table from
 #pragma once
 
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,6 +27,7 @@
 #include "core/baseline.hpp"
 #include "core/reunion_system.hpp"
 #include "core/unsync_system.hpp"
+#include "obs/json.hpp"
 #include "runtime/campaign.hpp"
 #include "workload/profile.hpp"
 #include "workload/synthetic.hpp"
@@ -43,11 +47,11 @@ struct BenchArgs {
     const Config cfg = Config::from_args(argc, argv);
     BenchArgs a;
     a.insts_set = cfg.has("insts");
-    a.insts = static_cast<std::uint64_t>(cfg.get_int("insts", 30000));
-    a.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
-    a.threads = static_cast<unsigned>(cfg.get_int("threads", 1));
-    a.workers = static_cast<unsigned>(cfg.get_int("workers", 0));
-    a.jobs = static_cast<std::uint64_t>(cfg.get_int("jobs", 0));
+    a.insts = cfg.get_count<std::uint64_t>("insts", 30000);
+    a.seed = cfg.get_count<std::uint64_t>("seed", 42);
+    a.threads = cfg.get_count<unsigned>("threads", 1);
+    a.workers = cfg.get_count<unsigned>("workers", 0);
+    a.jobs = cfg.get_count<std::uint64_t>("jobs", 0);
     a.json = cfg.get_string("json", "");
     cfg.report_unused("bench");
     return a;
@@ -115,20 +119,85 @@ inline runtime::CampaignOutput run_grid(const BenchArgs& a,
   return runtime::CampaignRunner(opts).run(jobs);
 }
 
-/// Honors the json= knob: writes the raw campaign grid ("unsync.campaign.v2")
-/// so a plotting script can consume exactly what the table was built from.
-inline void maybe_dump_json(const BenchArgs& a,
-                            const runtime::CampaignOutput& out) {
-  if (a.json.empty()) return;
-  if (a.json == "-") {
-    std::cout << out.to_json(2) << "\n";
+/// Honors the json= knob: writes `json` to `path` ("-" = stdout; an empty
+/// path writes nothing).
+inline void write_json(const std::string& path, const std::string& json,
+                       const std::string& what) {
+  if (path.empty()) return;
+  if (path == "-") {
+    std::cout << json;
     return;
   }
-  std::ofstream f(a.json);
-  if (!f) throw std::runtime_error("cannot write json file " + a.json);
-  f << out.to_json(2) << "\n";
-  std::cout << "(raw grid JSON written to " << a.json << ")\n";
+  std::ofstream f(path);
+  if (!f) throw std::runtime_error("cannot write json file " + path);
+  f << json;
+  std::cout << "(" << what << " written to " << path << ")\n";
 }
+
+/// Writes the raw campaign grid ("unsync.campaign.v2") so a plotting
+/// script can consume exactly what the table was built from.
+inline void maybe_dump_json(const BenchArgs& a,
+                            const runtime::CampaignOutput& out) {
+  write_json(a.json, out.to_json(2) + "\n", "raw grid JSON");
+}
+
+/// A gated bench's result, "unsync.bench_report.v1": named exact integer
+/// cells and named measured metrics. A report carries measurements only;
+/// every pinned integer and every bound lives in the one committed
+/// baseline, and one command checks all gated benches:
+///     python3 tools/check_bench_regression.py BENCH_*.json
+///         --baseline bench/BENCH_baseline.json
+class Report {
+ public:
+  explicit Report(std::string bench) : bench_(std::move(bench)) {}
+
+  /// A pure function of the grid: gated by exact equality.
+  void cell(const std::string& name, std::uint64_t value) {
+    cells_[name] = value;
+  }
+  /// A measured number: gated by the baseline's min/max bound.
+  void metric(const std::string& name, double value) {
+    metrics_[name] = {value, ""};
+  }
+  /// A metric this host cannot measure: the gate prints
+  /// NOT EVALUATED (why) for it instead of checking its bound.
+  void not_evaluated(const std::string& name, const std::string& why) {
+    metrics_[name] = {0.0, why};
+  }
+
+  std::string to_json() const {
+    obs::JsonWriter w(2);
+    w.begin_object().key("schema").value("unsync.bench_report.v1");
+    w.key("benches").begin_object().key(bench_).begin_object();
+    w.key("cells").begin_object();
+    for (const auto& [name, v] : cells_) w.key(name).value(v);
+    w.end_object().key("metrics").begin_object();
+    for (const auto& [name, m] : metrics_) {
+      w.key(name).begin_object().key("value");
+      if (m.not_evaluated.empty()) {
+        w.value(m.value);
+      } else {
+        w.null().key("not_evaluated").value(m.not_evaluated);
+      }
+      w.end_object();
+    }
+    w.end_object().end_object().end_object().end_object();
+    return w.take() + "\n";
+  }
+
+  void write(const std::string& path) const {
+    write_json(path, to_json(), "bench report");
+  }
+
+ private:
+  struct Metric {
+    double value;
+    std::string not_evaluated;  ///< non-empty: why it was not measured
+  };
+  std::string bench_;
+  std::map<std::string, std::uint64_t> cells_;
+  std::map<std::string, Metric> metrics_;
+};
 
 inline void print_header(const std::string& what, const BenchArgs& a) {
   std::cout << "\n=== " << what << " ===\n"

@@ -117,8 +117,8 @@ int main(int argc, char** argv) {
             << "\n\n";
 
   InjectionConfig icfg;
-  icfg.trials = static_cast<std::uint64_t>(cfg.get_int("trials", 300));
-  icfg.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 1));
+  icfg.trials = cfg.get_count<std::uint64_t>("trials", 300);
+  icfg.seed = cfg.get_count<std::uint64_t>("seed", 1);
 
   TextTable t("Single-bit fault outcomes (" + std::to_string(icfg.trials) +
               " trials per row)");
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
   std::vector<CampaignResult> results(std::size(specs));
   std::vector<obs::MetricsSnapshot> row_metrics(std::size(specs));
   runtime::ThreadPool pool(
-      static_cast<unsigned>(cfg.get_int("threads", 0)));
+      cfg.get_count<unsigned>("threads", 0));
   pool.parallel_for(std::size(specs), [&](std::size_t i) {
     InjectionConfig row_cfg = icfg;
     row_cfg.l1_write_through = specs[i].write_through;

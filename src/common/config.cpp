@@ -1,6 +1,7 @@
 #include "common/config.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
@@ -63,22 +64,42 @@ std::int64_t Config::get_int(const std::string& key,
   const auto v = find(key);
   if (!v) return fallback;
   try {
-    return std::stoll(*v);
+    std::size_t used = 0;
+    const std::int64_t n = std::stoll(*v, &used);
+    if (used == v->size()) return n;
   } catch (const std::exception&) {
-    throw std::invalid_argument("config key '" + key +
-                                "' is not an integer: " + *v);
+    // no digits or out of range: reported below with the key
   }
+  throw ConfigError("config key '" + key + "' is not an integer: " + *v);
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
   const auto v = find(key);
   if (!v) return fallback;
   try {
-    return std::stod(*v);
+    std::size_t used = 0;
+    const double d = std::stod(*v, &used);
+    if (used == v->size()) return d;
   } catch (const std::exception&) {
-    throw std::invalid_argument("config key '" + key +
-                                "' is not a number: " + *v);
+    // no digits or out of range: reported below with the key
   }
+  throw ConfigError("config key '" + key + "' is not a number: " + *v);
+}
+
+std::uint64_t Config::parse_count(const std::string& key,
+                                  std::uint64_t fallback,
+                                  std::uint64_t max) const {
+  const auto v = find(key);
+  if (!v) return fallback;
+  std::uint64_t n = 0;
+  const char* end = v->data() + v->size();
+  const auto [ptr, ec] = std::from_chars(v->data(), end, n);
+  if (ec != std::errc() || ptr != end || n > max) {
+    throw ConfigError("config key '" + key +
+                      "' is not a count (0.." + std::to_string(max) +
+                      "): " + *v);
+  }
+  return n;
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
@@ -88,8 +109,7 @@ bool Config::get_bool(const std::string& key, bool fallback) const {
   std::transform(s.begin(), s.end(), s.begin(), ::tolower);
   if (s == "1" || s == "true" || s == "yes" || s == "on") return true;
   if (s == "0" || s == "false" || s == "no" || s == "off") return false;
-  throw std::invalid_argument("config key '" + key +
-                              "' is not a boolean: " + *v);
+  throw ConfigError("config key '" + key + "' is not a boolean: " + *v);
 }
 
 std::vector<std::string> Config::keys() const {

@@ -7,15 +7,26 @@
 // Misconfiguration safety: from_args reports malformed tokens (e.g. "=8")
 // to stderr, and every getter marks its key as consumed, so a front end can
 // call unused_keys() after dispatch and fail loudly on a typo like
-// `thread=8` instead of silently running with defaults.
+// `thread=8` instead of silently running with defaults. Numeric getters
+// parse the whole value: "5e4" is not the integer 5, and a malformed value
+// throws ConfigError naming the key.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace unsync {
+
+/// A malformed configuration value (or, in front ends, any misuse of the
+/// command line). Front ends map it to their "fix the invocation" exit code.
+struct ConfigError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
 
 class Config {
  public:
@@ -34,6 +45,15 @@ class Config {
                          const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
+
+  /// A non-negative count that fits in T: the value must be decimal digits
+  /// only, so "-1" is an error rather than a wrapped 4294967295.
+  template <typename T = std::uint64_t>
+  T get_count(const std::string& key, T fallback) const {
+    static_assert(std::is_unsigned_v<T>, "counts are unsigned");
+    return static_cast<T>(
+        parse_count(key, fallback, std::numeric_limits<T>::max()));
+  }
   bool get_bool(const std::string& key, bool fallback) const;
 
   /// All keys in insertion order (for help / echo output).
@@ -63,6 +83,8 @@ class Config {
   };
 
   std::optional<std::string> find(const std::string& key) const;
+  std::uint64_t parse_count(const std::string& key, std::uint64_t fallback,
+                            std::uint64_t max) const;
   std::vector<Entry> entries_;
   /// Keys consulted through find(), deduplicated, in first-asked order.
   mutable std::vector<std::string> consulted_;

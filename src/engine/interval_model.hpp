@@ -23,7 +23,7 @@
 // Results carry approximate=true ("unsync.run_result.v2" tier="fast"), are
 // NOT resumable or checkpointable, and are validated against the detailed
 // tier by tools/validate_fast_tier with CI-gated per-benchmark error bounds
-// (bench/BENCH_tier_baseline.json, docs/TIERS.md).
+// (bench/BENCH_baseline.json, docs/TIERS.md).
 #pragma once
 
 #include <cstdint>

@@ -12,7 +12,7 @@
 //     statistics instead of simulating pipeline structures. 10-100x faster;
 //     results carry approximate=true and are validated against the detailed
 //     tier by tools/validate_fast_tier + bench_tier_screening (error bounds
-//     committed in bench/BENCH_tier_baseline.json, CI-gated).
+//     committed in bench/BENCH_baseline.json, CI-gated).
 //
 // Contract notes:
 //   - run() is resumable on the detailed tier (absolute max_cycles; run(N)

@@ -49,6 +49,52 @@ TEST(Config, BadIntThrows) {
   EXPECT_THROW(cfg.get_int("n", 0), std::invalid_argument);
 }
 
+// Numbers are parsed whole: a prefix parse would read "5e4" as 5.
+TEST(Config, IntRejectsTrailingCharacters) {
+  Config cfg;
+  cfg.set("insts", "5e4");
+  cfg.set("seed", "12abc");
+  EXPECT_THROW(cfg.get_int("insts", 0), ConfigError);
+  EXPECT_THROW(cfg.get_int("seed", 0), ConfigError);
+  EXPECT_THROW(cfg.get_count("insts", std::uint64_t{0}), ConfigError);
+  EXPECT_THROW(cfg.get_count("seed", std::uint64_t{0}), ConfigError);
+}
+
+TEST(Config, DoubleRejectsTrailingCharacters) {
+  Config cfg;
+  cfg.set("ser", "1e-5x");
+  EXPECT_THROW(cfg.get_double("ser", 0.0), ConfigError);
+}
+
+TEST(Config, CountRejectsNegativeAndOutOfRange) {
+  Config cfg;
+  cfg.set("threads", "-1");
+  cfg.set("workers", "4294967296");
+  cfg.set("blank", "");
+  EXPECT_THROW(cfg.get_count<unsigned>("threads", 0), ConfigError);
+  EXPECT_THROW(cfg.get_count<unsigned>("workers", 0), ConfigError);
+  EXPECT_THROW(cfg.get_count<unsigned>("blank", 0), ConfigError);
+  EXPECT_EQ(cfg.get_count<std::uint64_t>("workers", 0), 4294967296u);
+}
+
+TEST(Config, CountParsesAndFallsBack) {
+  Config cfg;
+  cfg.set("insts", "50000");
+  EXPECT_EQ(cfg.get_count<std::uint64_t>("insts", 7), 50000u);
+  EXPECT_EQ(cfg.get_count<unsigned>("threads", 3), 3u);
+}
+
+TEST(Config, ErrorNamesTheKey) {
+  Config cfg;
+  cfg.set("insts", "abc");
+  try {
+    cfg.get_count("insts", std::uint64_t{0});
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find("'insts'"), std::string::npos);
+  }
+}
+
 TEST(Config, BadBoolThrows) {
   Config cfg;
   cfg.set("b", "maybe");

@@ -60,7 +60,6 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -94,12 +93,10 @@ namespace {
 
 using namespace unsync;
 
-/// A misuse of the command line (unknown subcommand/system/parameter).
-/// Distinguished from simulation errors so scripts can tell "fix the
-/// invocation" (exit 2) from "the run failed" (exit 1).
-struct ConfigError : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
+// A misuse of the command line (unknown subcommand/system/parameter, or a
+// malformed value) throws unsync::ConfigError. It is distinguished from
+// simulation errors so scripts can tell "fix the invocation" (exit 2) from
+// "the run failed" (exit 1).
 
 constexpr int kExitOk = 0;
 constexpr int kExitSimError = 1;
@@ -203,9 +200,8 @@ std::vector<std::string> split_csv(const std::string& values) {
 /// Builds the workload stream selected by bench=/kernel=/program=/trace=.
 std::unique_ptr<workload::InstStream> make_stream(const Config& cfg,
                                                   std::string* label) {
-  const auto insts =
-      static_cast<std::uint64_t>(cfg.get_int("insts", 50000));
-  const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  const auto insts = cfg.get_count<std::uint64_t>("insts", 50000);
+  const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
   if (cfg.has("bench")) {
     const std::string name = cfg.get_string("bench", "");
     *label = name;
@@ -293,21 +289,16 @@ fault::UncorePlan protect_plan_from(const Config& cfg) {
 CommonKnobs knobs_from(const Config& cfg, bool allow_screen = false) {
   CommonKnobs k;
   auto& p = k.params;
-  p.unsync.cb_entries = static_cast<std::size_t>(cfg.get_int("cb", 128));
-  p.unsync.group_size = static_cast<unsigned>(cfg.get_int("group", 2));
-  p.reunion.fingerprint_interval =
-      static_cast<unsigned>(cfg.get_int("fi", 10));
-  p.reunion.compare_latency = static_cast<Cycle>(cfg.get_int("latency", 10));
+  p.unsync.cb_entries = cfg.get_count<std::size_t>("cb", 128);
+  p.unsync.group_size = cfg.get_count<unsigned>("group", 2);
+  p.reunion.fingerprint_interval = cfg.get_count<unsigned>("fi", 10);
+  p.reunion.compare_latency = cfg.get_count<Cycle>("latency", 10);
   p.checkpoint.checkpoint_interval =
-      static_cast<std::uint64_t>(cfg.get_int("interval", 1000));
-  p.checkpoint.checkpoint_cost =
-      static_cast<Cycle>(cfg.get_int("capture", 120));
-  p.hetero.log_entries =
-      static_cast<std::size_t>(cfg.get_int("checker.log", 64));
-  p.hetero.checker_width =
-      static_cast<std::uint32_t>(cfg.get_int("checker.width", 2));
-  p.hetero.rollback_penalty =
-      static_cast<Cycle>(cfg.get_int("checker.rollback", 60));
+      cfg.get_count<std::uint64_t>("interval", 1000);
+  p.checkpoint.checkpoint_cost = cfg.get_count<Cycle>("capture", 120);
+  p.hetero.log_entries = cfg.get_count<std::size_t>("checker.log", 64);
+  p.hetero.checker_width = cfg.get_count<std::uint32_t>("checker.width", 2);
+  p.hetero.rollback_penalty = cfg.get_count<Cycle>("checker.rollback", 60);
   if (p.hetero.log_entries == 0) {
     throw ConfigError("checker.log= must be >= 1");
   }
@@ -315,7 +306,7 @@ CommonKnobs knobs_from(const Config& cfg, bool allow_screen = false) {
     throw ConfigError("checker.width= must be >= 1");
   }
   k.ser = cfg.get_double("ser", 0.0);
-  k.seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+  k.seed = cfg.get_count<std::uint64_t>("seed", 42);
   k.fast_forward = cfg.get_bool("engine.fast_forward", false);
   k.avf = cfg.get_bool("avf", false);
   k.protect = protect_plan_from(cfg);
@@ -330,16 +321,8 @@ CommonKnobs knobs_from(const Config& cfg, bool allow_screen = false) {
     // Jobs stay tier=detailed in the grid: the screening policy (not the
     // per-job tier) decides which model runs each cell.
     k.screen = true;
-    const std::string threshold = cfg.get_string("screen_threshold", "0");
-    if (threshold == "inf" || threshold == "infinity") {
-      k.screen_threshold = std::numeric_limits<double>::infinity();
-    } else {
-      try {
-        k.screen_threshold = std::stod(threshold);
-      } catch (const std::exception&) {
-        throw ConfigError("screen_threshold= is not a number: " + threshold);
-      }
-    }
+    // "inf" (screen nothing out) parses like any other number.
+    k.screen_threshold = cfg.get_double("screen_threshold", 0.0);
   } else {
     const auto t = engine::parse_tier(tier);
     if (!t) {
@@ -360,7 +343,7 @@ CommonKnobs knobs_from(const Config& cfg, bool allow_screen = false) {
 runtime::SimJob job_template(const Config& cfg, const CommonKnobs& knobs,
                              std::string* label) {
   runtime::SimJob job;
-  job.insts = static_cast<std::uint64_t>(cfg.get_int("insts", 50000));
+  job.insts = cfg.get_count<std::uint64_t>("insts", 50000);
   job.params = knobs.params;
   job.ser_per_inst = knobs.ser;
   job.fast_forward = knobs.fast_forward;
@@ -402,7 +385,7 @@ int cmd_run(const Config& cfg) {
   const CommonKnobs knobs = knobs_from(cfg);
 
   core::SystemConfig sys_cfg;
-  sys_cfg.num_threads = static_cast<unsigned>(cfg.get_int("threads", 1));
+  sys_cfg.num_threads = cfg.get_count<unsigned>("threads", 1);
   sys_cfg.ser_per_inst = knobs.ser;
   sys_cfg.seed = knobs.seed;
   sys_cfg.fast_forward = knobs.fast_forward;
@@ -430,7 +413,7 @@ int cmd_run(const Config& cfg) {
   std::unique_ptr<obs::JsonlTraceSink> trace_sink;
   if (!trace_path.empty()) {
     const auto flush_every =
-        static_cast<std::uint64_t>(cfg.get_int("trace_flush_every", 256));
+        cfg.get_count<std::uint64_t>("trace_flush_every", 256);
     trace_sink = std::make_unique<obs::JsonlTraceSink>(trace_path, flush_every);
   }
   if (!metrics_path.empty() || trace_sink) {
@@ -444,7 +427,7 @@ int cmd_run(const Config& cfg) {
   // yields the bit-exact result of the uninterrupted run.
   const std::string resume_path = cfg.get_string("resume", "");
   const std::string ckpt_path = cfg.get_string("checkpoint", "");
-  const auto ckpt_at = static_cast<Cycle>(cfg.get_int("checkpoint_at", 0));
+  const auto ckpt_at = cfg.get_count<Cycle>("checkpoint_at", 0);
   if (!sys && (want_report || !resume_path.empty() || !ckpt_path.empty())) {
     throw ConfigError(
         "tier=fast supports neither checkpoints nor report=1 (the interval "
@@ -552,7 +535,7 @@ int cmd_sweep(const Config& cfg) {
   }
 
   runtime::CampaignRunner::Options opts;
-  opts.threads = static_cast<unsigned>(cfg.get_int("threads", 0));
+  opts.threads = cfg.get_count<unsigned>("threads", 0);
   opts.campaign_seed = *base.seed;
   const auto out = runtime::CampaignRunner(opts).run(jobs);
 
@@ -575,8 +558,8 @@ int cmd_sweep(const Config& cfg) {
 runtime::PrefixOptions prefix_from(const Config& cfg) {
   runtime::PrefixOptions p;
   p.enabled = cfg.get_bool("prefix_share", false);
-  p.interval = static_cast<Cycle>(cfg.get_int("prefix_interval", 5000));
-  p.cache_mb = static_cast<std::size_t>(cfg.get_int("prefix_cache_mb", 256));
+  p.interval = cfg.get_count<Cycle>("prefix_interval", 5000);
+  p.cache_mb = cfg.get_count<std::size_t>("prefix_cache_mb", 256);
   if (!p.enabled &&
       (cfg.has("prefix_interval") || cfg.has("prefix_cache_mb"))) {
     throw ConfigError(
@@ -620,8 +603,8 @@ CampaignGrid build_campaign_grid(const Config& cfg, const CommonKnobs& knobs) {
   }
 
   runtime::SimJob base;
-  base.insts = static_cast<std::uint64_t>(cfg.get_int("insts", 50000));
-  base.app_threads = static_cast<unsigned>(cfg.get_int("app_threads", 1));
+  base.insts = cfg.get_count<std::uint64_t>("insts", 50000);
+  base.app_threads = cfg.get_count<unsigned>("app_threads", 1);
   base.params = knobs.params;
   base.ser_per_inst = knobs.ser;
   base.fast_forward = knobs.fast_forward;
@@ -714,15 +697,14 @@ int cmd_campaign(const Config& cfg) {
   const CampaignGrid grid = build_campaign_grid(cfg, knobs);
 
   runtime::CampaignRunner::Options opts;
-  opts.threads = static_cast<unsigned>(cfg.get_int("threads", 0));
+  opts.threads = cfg.get_count<unsigned>("threads", 0);
   opts.campaign_seed = knobs.seed;
   opts.screen = knobs.screen;
   opts.screen_threshold = knobs.screen_threshold;
   opts.collect_metrics = !metrics_path.empty() || format == "json";
   opts.prefix = prefix_from(cfg);
   opts.journal = cfg.get_string("checkpoint", "");
-  opts.checkpoint_every =
-      static_cast<std::size_t>(cfg.get_int("checkpoint_every", 1));
+  opts.checkpoint_every = cfg.get_count<std::size_t>("checkpoint_every", 1);
   opts.resume = cfg.get_bool("resume", false);
   if (opts.resume && opts.journal.empty()) {
     throw ConfigError("resume=1 needs checkpoint=<journal file>");
@@ -751,14 +733,13 @@ runtime::DistributedOptions distributed_from(const Config& cfg,
   runtime::DistributedOptions opts;
   opts.dir = cfg.get_string("dir", "");
   if (opts.dir.empty()) throw ConfigError("dir=<campaign dir> is required");
-  opts.workers = static_cast<unsigned>(cfg.get_int("workers", 0));
+  opts.workers = cfg.get_count<unsigned>("workers", 0);
   if (opts.workers == 0) throw ConfigError("workers=<N >= 1> is required");
   opts.campaign_seed = knobs.seed;
   opts.screen = knobs.screen;
   opts.screen_threshold = knobs.screen_threshold;
   opts.prefix = prefix_from(cfg);
-  opts.checkpoint_every =
-      static_cast<std::size_t>(cfg.get_int("checkpoint_every", 1));
+  opts.checkpoint_every = cfg.get_count<std::size_t>("checkpoint_every", 1);
   return opts;
 }
 
@@ -770,11 +751,11 @@ int cmd_campaign_worker(const Config& cfg) {
   const CampaignGrid grid = build_campaign_grid(cfg, knobs);
   runtime::DistributedOptions opts = distributed_from(cfg, knobs);
   if (!cfg.has("worker")) throw ConfigError("worker=<shard index> is required");
-  opts.shard = static_cast<unsigned>(cfg.get_int("worker", 0));
+  opts.shard = cfg.get_count<unsigned>("worker", 0);
   if (opts.shard >= opts.workers) {
     throw ConfigError("worker= must be < workers=");
   }
-  opts.threads = static_cast<unsigned>(cfg.get_int("threads", 1));
+  opts.threads = cfg.get_count<unsigned>("threads", 1);
   opts.steal = cfg.get_bool("steal", true);
   opts.collect_metrics = cfg.get_bool("collect_metrics", false);
   if (cfg.get_bool("progress", false)) {
@@ -801,7 +782,7 @@ int cmd_campaign_coordinator(const Config& cfg) {
   const CampaignGrid grid = build_campaign_grid(cfg, knobs);
   runtime::DistributedOptions opts = distributed_from(cfg, knobs);
   opts.collect_metrics = !metrics_path.empty() || format == "json";
-  opts.poll_ms = static_cast<unsigned>(cfg.get_int("poll_ms", 100));
+  opts.poll_ms = cfg.get_count<unsigned>("poll_ms", 100);
   opts.timeout_seconds = cfg.get_double("timeout", 600.0);
   const auto out = runtime::merge_shards(grid.jobs, opts);
   emit_campaign_output(cfg, grid, out, format, metrics_path);
@@ -867,7 +848,7 @@ int cmd_asm(const Config& cfg) {
   std::cout << "assembled " << prog.code.size() << " instructions, "
             << prog.data.size() << " data bytes\n";
   isa::FunctionalSim sim(prog);
-  sim.run(static_cast<std::uint64_t>(cfg.get_int("max_steps", 10'000'000)));
+  sim.run(cfg.get_count<std::uint64_t>("max_steps", 10'000'000));
   std::cout << "retired " << sim.retired() << " instructions; "
             << (sim.halted() ? "halted" : "STEP LIMIT REACHED") << "\n";
   for (std::size_t i = 0; i < sim.output().size(); ++i) {
@@ -939,8 +920,8 @@ int cmd_avf_report(const Config& cfg) {
   for (const auto& b : benches) (void)workload::profile(b);  // validate
 
   runtime::SimJob base;
-  base.insts = static_cast<std::uint64_t>(cfg.get_int("insts", 20000));
-  base.app_threads = static_cast<unsigned>(cfg.get_int("app_threads", 1));
+  base.insts = cfg.get_count<std::uint64_t>("insts", 20000);
+  base.app_threads = cfg.get_count<unsigned>("app_threads", 1);
   base.params = knobs.params;
   base.ser_per_inst = knobs.ser;
   base.fast_forward = knobs.fast_forward;
@@ -960,7 +941,7 @@ int cmd_avf_report(const Config& cfg) {
   }
 
   runtime::CampaignRunner::Options opts;
-  opts.threads = static_cast<unsigned>(cfg.get_int("threads", 0));
+  opts.threads = cfg.get_count<unsigned>("threads", 0);
   opts.campaign_seed = knobs.seed;
   opts.collect_metrics = true;
   const auto out = runtime::CampaignRunner(opts).run(jobs);

@@ -5,8 +5,8 @@
 // and the fault-arrival contract (errors_injected must match exactly —
 // both tiers draw the identical schedule from the identical seed). Exit
 // code 1 if any cell breaks the arrival contract; accuracy itself is NOT
-// gated here (that is check_bench_regression.py --tier against the
-// committed envelope in bench/BENCH_tier_baseline.json) — this tool is
+// gated here (bench_tier_screening's report is, against the committed
+// envelope in bench/BENCH_baseline.json) — this tool is
 // the exploratory/manual companion that shows the numbers per cell.
 //
 // Knobs (key=value, GNU --key=value also accepted by the CLI but this
@@ -55,9 +55,9 @@ double cpi_of(const core::RunResult& r) {
 int main(int argc, char** argv) {
   try {
     const Config cfg = Config::from_args(argc, argv);
-    const auto insts = static_cast<std::uint64_t>(cfg.get_int("insts", 20000));
+    const auto insts = cfg.get_count<std::uint64_t>("insts", 20000);
     const double ser = cfg.get_double("ser", 2e-4);
-    const auto seed = static_cast<std::uint64_t>(cfg.get_int("seed", 42));
+    const auto seed = cfg.get_count<std::uint64_t>("seed", 42);
     const std::string json = cfg.get_string("json", "");
 
     std::vector<std::string> benches =
