@@ -10,18 +10,26 @@
 //
 // Scalars are little-endian fixed-width; doubles are bit-cast to u64, which
 // is what makes save -> load -> save byte-identical (the bit-exactness the
-// resumable-run contract in docs/CHECKPOINTS.md is built on).
+// resumable-run contract in docs/CHECKPOINTS.md is built on). The codec
+// moves each scalar with one memcpy (a checkpoint is ~1.2 MB, mostly cache
+// tag arrays), so the host must be little-endian for those bytes to be the
+// wire bytes.
 #pragma once
 
-#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace unsync::ckpt {
+
+static_assert(std::endian::native == std::endian::little,
+              "the checkpoint codec copies scalars in host byte order, which "
+              "must be the little-endian wire order");
 
 /// Schema identifier embedded in every checkpoint file header.
 inline constexpr std::string_view kSchema = "unsync.ckpt.v1";
@@ -41,13 +49,12 @@ inline std::uint32_t crc32(std::string_view s, std::uint32_t seed = 0) {
   return crc32(s.data(), s.size(), seed);
 }
 
-/// FNV-1a 64-bit hash. Used where a 32-bit CRC's collision rate is too high
-/// for comfort — e.g. the per-interval architectural-state fingerprints of
-/// prefix-shared campaigns, where a collision would silently splice the
-/// wrong tail onto a run. Not cryptographic; fine for states produced by
-/// the deterministic simulator rather than an adversary.
+/// FNV-1a 64-bit hash, one multiply per byte: for short strings whose
+/// digests are recorded (e.g. result digests), so it must never change. Its
+/// offset basis is the published 14695981039346656037 with the last digit
+/// lost; the recorded digests depend on it, so it stays.
 inline std::uint64_t hash64(std::string_view s) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis
+  std::uint64_t h = 1469598103934665603ull;  // FNV offset basis (see above)
   for (const char c : s) {
     h ^= static_cast<unsigned char>(c);
     h *= 1099511628211ull;  // FNV prime
@@ -55,12 +62,30 @@ inline std::uint64_t hash64(std::string_view s) {
   return h;
 }
 
+/// 64-bit XXH64 (seed 0) of `data`: four 8-byte lanes per 32-byte stripe and
+/// a final avalanche. Hashes the per-interval architectural-state
+/// fingerprints of prefix-shared campaigns (~1 MB each), where a 32-bit
+/// CRC's collision rate is too high for comfort — a collision would
+/// silently splice the wrong tail onto a run. The values live only in
+/// memory and are part of no file format. Not cryptographic; fine for
+/// states produced by the deterministic simulator rather than an adversary.
+std::uint64_t fingerprint64(std::string_view data);
+
+/// Wire size of one record field: unsigned integers are fixed-width, a
+/// bool is one byte.
+template <typename T>
+constexpr std::size_t wire_size() {
+  static_assert(std::is_integral_v<T> && std::is_unsigned_v<T>,
+                "record fields are unsigned integers or bools");
+  return std::is_same_v<T, bool> ? 1 : sizeof(T);
+}
+
 class Serializer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(static_cast<char>(v)); }
-  void u32(std::uint32_t v) { put_le(v); }
-  void u64(std::uint64_t v) { put_le(v); }
-  void i64(std::int64_t v) { put_le(static_cast<std::uint64_t>(v)); }
+  void u32(std::uint32_t v) { record(v); }
+  void u64(std::uint64_t v) { record(v); }
+  void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void b(bool v) { u8(v ? 1 : 0); }
   void f64(double v) {
     std::uint64_t bits;
@@ -75,6 +100,18 @@ class Serializer {
     buf_.append(static_cast<const char*>(data), len);
   }
 
+  /// Writes a fixed record of unsigned integers and bools with one append
+  /// (host order is wire order): the same bytes as one u8/u32/u64/b call
+  /// per field, in order. Large arrays of small structs (cache tag arrays)
+  /// write one record per element.
+  template <typename... Ts>
+  void record(Ts... fields) {
+    char rec[(wire_size<Ts>() + ...)];
+    char* p = rec;
+    (encode(p, fields), ...);
+    buf_.append(rec, sizeof rec);
+  }
+
   /// Opens a tagged chunk (`tag` must be exactly 4 characters). The length
   /// is back-patched by end_chunk(); chunks nest.
   void begin_chunk(std::string_view tag);
@@ -85,9 +122,12 @@ class Serializer {
 
  private:
   template <typename T>
-  void put_le(T v) {
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  static void encode(char*& p, T v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      *p++ = v ? 1 : 0;
+    } else {
+      std::memcpy(p, &v, sizeof v);
+      p += sizeof v;
     }
   }
 
@@ -97,11 +137,23 @@ class Serializer {
 
 class Deserializer {
  public:
-  explicit Deserializer(std::string payload) : buf_(std::move(payload)) {}
+  explicit Deserializer(std::string payload)
+      : buf_(std::move(payload)), limit_(buf_.size()) {}
 
-  std::uint8_t u8() { return static_cast<std::uint8_t>(take_byte()); }
-  std::uint32_t u32() { return get_le<std::uint32_t>(); }
-  std::uint64_t u64() { return get_le<std::uint64_t>(); }
+  std::uint8_t u8() {
+    need(1);
+    return static_cast<std::uint8_t>(buf_[pos_++]);
+  }
+  std::uint32_t u32() {
+    std::uint32_t v;
+    record(v);
+    return v;
+  }
+  std::uint64_t u64() {
+    std::uint64_t v;
+    record(v);
+    return v;
+  }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   bool b() { return u8() != 0; }
   double f64() {
@@ -112,6 +164,17 @@ class Deserializer {
   }
   std::string str();
 
+  /// Reads a record written by Serializer::record, with one bounds check
+  /// for the whole record.
+  template <typename... Ts>
+  void record(Ts&... fields) {
+    constexpr std::size_t n = (wire_size<Ts>() + ...);
+    need(n);
+    const char* p = buf_.data() + pos_;
+    (decode(p, fields), ...);
+    pos_ += n;
+  }
+
   /// Consumes the header of a chunk and verifies its tag; end_chunk()
   /// verifies the advertised length was consumed exactly.
   void begin_chunk(std::string_view tag);
@@ -121,22 +184,26 @@ class Deserializer {
   std::size_t remaining() const { return buf_.size() - pos_; }
 
  private:
-  char take_byte();
-  void need(std::size_t n) const;
+  /// A read may not cross the end of the innermost open chunk: a
+  /// misaligned reader fails at the exact field, not at some later
+  /// end_chunk().
+  void need(std::size_t n) const {
+    if (limit_ - pos_ < n) throw_truncated(n);
+  }
+  [[noreturn]] void throw_truncated(std::size_t n) const;
 
   template <typename T>
-  T get_le() {
-    need(sizeof(T));
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<unsigned char>(buf_[pos_ + i]))
-           << (8 * i);
+  static void decode(const char*& p, T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      v = *p++ != 0;
+    } else {
+      std::memcpy(&v, p, sizeof v);
+      p += sizeof v;
     }
-    pos_ += sizeof(T);
-    return v;
   }
 
   std::string buf_;
+  std::size_t limit_;  // end of the innermost open chunk, else buf_.size()
   std::size_t pos_ = 0;
   std::vector<std::pair<std::string, std::size_t>> chunk_stack_;  // tag, end
 };

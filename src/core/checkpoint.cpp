@@ -56,7 +56,7 @@ void System::load_checkpoint_bytes(std::string_view blob) {
 std::uint64_t System::state_fingerprint() const {
   ckpt::Serializer s;
   save_fingerprint_state(s);
-  return ckpt::hash64(s.data());
+  return ckpt::fingerprint64(s.data());
 }
 
 }  // namespace unsync::core

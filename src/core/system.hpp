@@ -159,7 +159,7 @@ class System : public engine::SystemPolicy, public engine::SimModel {
     (void)s;
   }
 
-  /// ckpt::hash64 over save_fingerprint_state().
+  /// ckpt::fingerprint64 over save_fingerprint_state().
   std::uint64_t state_fingerprint() const;
 
   /// The system's memory hierarchy (every concrete system owns exactly one).

@@ -207,12 +207,7 @@ void MshrFile::load_state(ckpt::Deserializer& d) {
 void Cache::save_state(ckpt::Serializer& s) const {
   s.begin_chunk("CACH");
   s.u64(lines_.size());
-  for (const Line& l : lines_) {
-    s.u64(l.tag);
-    s.b(l.valid);
-    s.b(l.dirty);
-    s.u64(l.lru);
-  }
+  for (const Line& l : lines_) s.record(l.tag, l.valid, l.dirty, l.lru);
   s.u64(lru_clock_);
   s.u64(hits_);
   s.u64(misses_);
@@ -228,10 +223,7 @@ void Cache::load_state(ckpt::Deserializer& d) {
   }
   valid_count_ = 0;
   for (Line& l : lines_) {
-    l.tag = d.u64();
-    l.valid = d.b();
-    l.dirty = d.b();
-    l.lru = d.u64();
+    d.record(l.tag, l.valid, l.dirty, l.lru);
     if (l.valid) ++valid_count_;
   }
   lru_clock_ = d.u64();

@@ -477,7 +477,42 @@ int cmd_run(const Config& cfg) {
   return kExitOk;
 }
 
-/// sweep param=<cb|fi|latency|group|ser> values=v1,v2,... plus the usual
+/// Sets `param` of `job` to the sweep point `point`, parsed whole by the
+/// Config getters (a count is digits only; ser is a whole non-negative
+/// number), so "8x" or "-1" is a ConfigError naming the point. Returns
+/// false when `param` is not a sweep parameter.
+bool apply_sweep_point(const std::string& param, const std::string& point,
+                       runtime::SimJob& job) {
+  Config one;
+  one.set(param, point);
+  try {
+    if (param == "cb") {
+      job.params.unsync.cb_entries = one.get_count<std::size_t>(param, 0);
+    } else if (param == "group") {
+      job.params.unsync.group_size = one.get_count<unsigned>(param, 0);
+    } else if (param == "fi") {
+      job.params.reunion.fingerprint_interval =
+          one.get_count<unsigned>(param, 0);
+    } else if (param == "latency") {
+      job.params.reunion.compare_latency = one.get_count<Cycle>(param, 0);
+    } else if (param == "log") {
+      job.params.hetero.log_entries = one.get_count<std::size_t>(param, 0);
+    } else if (param == "ser") {
+      job.ser_per_inst = one.get_double(param, 0.0);
+      if (!(job.ser_per_inst >= 0.0)) {
+        throw ConfigError("config key 'ser' is negative: " + point);
+      }
+    } else {
+      return false;
+    }
+  } catch (const ConfigError& e) {
+    throw ConfigError("sweep values=: bad point '" + point + "': " +
+                      e.what());
+  }
+  return true;
+}
+
+/// sweep param=<cb|fi|latency|group|log|ser> values=v1,v2,... plus the usual
 /// run selectors — emits one CSV row per value. Points run concurrently
 /// across threads= host workers; rows print in sweep order.
 int cmd_sweep(const Config& cfg) {
@@ -511,23 +546,7 @@ int cmd_sweep(const Config& cfg) {
   for (const auto& point : points) {
     runtime::SimJob job = base;
     job.label = point;
-    if (param == "cb") {
-      job.params.unsync.cb_entries =
-          static_cast<std::size_t>(std::stoll(point));
-    } else if (param == "group") {
-      job.params.unsync.group_size = static_cast<unsigned>(std::stoll(point));
-    } else if (param == "fi") {
-      job.params.reunion.fingerprint_interval =
-          static_cast<unsigned>(std::stoll(point));
-    } else if (param == "latency") {
-      job.params.reunion.compare_latency =
-          static_cast<Cycle>(std::stoll(point));
-    } else if (param == "log") {
-      job.params.hetero.log_entries =
-          static_cast<std::size_t>(std::stoll(point));
-    } else if (param == "ser") {
-      job.ser_per_inst = std::stod(point);
-    } else {
+    if (!apply_sweep_point(param, point, job)) {
       throw ConfigError("unknown sweep param: " + param +
                         " (cb|fi|latency|group|log|ser)");
     }
