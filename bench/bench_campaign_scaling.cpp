@@ -47,8 +47,6 @@ std::string digest(const runtime::CampaignOutput& out) {
   return os.str();
 }
 
-constexpr int kReps = 3;
-
 /// One run of the grid at one worker count.
 struct Sample {
   double wall_seconds = 0.0;
@@ -64,14 +62,6 @@ std::uint64_t counter_of(const obs::MetricsSnapshot& snap,
                          const std::string& name) {
   const auto it = snap.counters.find(name);
   return it == snap.counters.end() ? 0 : it->second;
-}
-
-/// The sample with the median wall time.
-Sample median(std::vector<Sample> runs) {
-  std::sort(runs.begin(), runs.end(), [](const Sample& a, const Sample& b) {
-    return a.wall_seconds < b.wall_seconds;
-  });
-  return runs[runs.size() / 2];
 }
 
 }  // namespace
@@ -100,32 +90,30 @@ int main(int argc, char** argv) {
   }
   const unsigned cores = runtime::ThreadPool::default_threads();
   std::cout << "grid: " << n_jobs << " jobs x " << per_job_insts
-            << " insts, host cores: " << cores << ", median of " << kReps
-            << " runs per point\n\n";
+            << " insts, host cores: " << cores
+            << ", median of 3 runs per point\n\n";
 
   // Slot 0 is the serial reference (threads=1 runs inline on the caller);
   // the others are the measured worker counts.
   const unsigned threads[] = {1, 1, 2, 4, 8};
   constexpr std::size_t kPoints = std::size(threads);
-  std::vector<std::vector<Sample>> samples(kPoints);
   bool same[kPoints];
   std::fill(std::begin(same), std::end(same), true);
   std::string reference;
-  for (int r = 0; r < kReps; ++r) {
-    for (std::size_t i = 0; i < kPoints; ++i) {
-      runtime::CampaignRunner::Options opts;
-      opts.threads = threads[i];
-      opts.campaign_seed = args.seed;
-      const auto out = runtime::CampaignRunner(opts).run(jobs);
-      const std::string d = digest(out);
-      if (reference.empty()) reference = d;
-      same[i] = same[i] && d == reference;
-      samples[i].push_back(
-          {out.wall_seconds,
-           counter_of(out.scheduler_metrics, "campaign.scheduler.steals")});
-    }
-  }
-  const double serial_wall = median(samples[0]).wall_seconds;
+  const std::vector<Sample> medians =
+      bench::interleaved_medians(kPoints, [&](std::size_t i) {
+        runtime::CampaignRunner::Options opts;
+        opts.threads = threads[i];
+        opts.campaign_seed = args.seed;
+        const auto out = runtime::CampaignRunner(opts).run(jobs);
+        const std::string d = digest(out);
+        if (reference.empty()) reference = d;
+        same[i] = same[i] && d == reference;
+        return Sample{
+            out.wall_seconds,
+            counter_of(out.scheduler_metrics, "campaign.scheduler.steals")};
+      });
+  const double serial_wall = medians[0].wall_seconds;
   bool all_identical = same[0];
 
   TextTable t;
@@ -135,7 +123,7 @@ int main(int argc, char** argv) {
   std::vector<Point> points;
   for (std::size_t i = 1; i < kPoints; ++i) {
     const unsigned w = threads[i];
-    const Sample m = median(samples[i]);
+    const Sample& m = medians[i];
     all_identical = all_identical && same[i];
 
     const double speedup = serial_wall / m.wall_seconds;

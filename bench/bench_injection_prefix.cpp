@@ -1,10 +1,11 @@
 // Prefix-sharing speedup on a Monte-Carlo injection grid.
 //
-// Runs the same detailed-tier injection campaign twice — once naively
-// (every trial simulates its full run) and once through the prefix-sharing
+// Runs the same detailed-tier injection campaign both ways — naively
+// (every trial simulates its full run) and through the prefix-sharing
 // engine (one golden run per unique fault-free configuration, trials
-// restore from its in-memory checkpoints and finish early on convergence)
-// — and reports the wall-clock speedup plus the engine's counters. Both
+// restore from its in-memory checkpoints and finish early on convergence),
+// each timed as the median of three interleaved runs — and reports the
+// wall-clock speedup plus the engine's counters. Both
 // campaigns run in this process on the same grid, so the speedup is a
 // same-host ratio, stable across machines the way the tier and
 // fast-forward gates are.
@@ -91,7 +92,6 @@ int main(int argc, char** argv) {
   runtime::CampaignRunner::Options naive_opts;
   naive_opts.threads = args.workers;
   naive_opts.campaign_seed = args.seed;
-  const auto naive = runtime::CampaignRunner(naive_opts).run(jobs);
 
   runtime::CampaignRunner::Options prefix_opts = naive_opts;
   prefix_opts.prefix.enabled = true;
@@ -101,7 +101,15 @@ int main(int argc, char** argv) {
   // re-execution a coarser restore point adds is cheaper than the hashes
   // a finer one spends. ~4-5 boundaries per run is the sweet spot here.
   prefix_opts.prefix.interval = 15000;
-  const auto prefix = runtime::CampaignRunner(prefix_opts).run(jobs);
+
+  // One naive run is under a second, so a single noisy run could decide
+  // the gate: both campaigns are timed as interleaved medians of three.
+  const auto runs = bench::interleaved_medians(2, [&](std::size_t i) {
+    return runtime::CampaignRunner(i == 0 ? naive_opts : prefix_opts)
+        .run(jobs);
+  });
+  const runtime::CampaignOutput& naive = runs[0];
+  const runtime::CampaignOutput& prefix = runs[1];
 
   const double speedup = prefix.wall_seconds > 0
                              ? naive.wall_seconds / prefix.wall_seconds

@@ -5,8 +5,9 @@
 // reports, per cell, the fast tier's CPI relative error and error-count
 // deviation against the detailed truth, plus the whole-grid wall-clock
 // speedup. The speedup is a same-host ratio (both tiers run in this
-// process on the same grid), so it is stable across machines the same way
-// the engine fast-forward gate is.
+// process on the same grid, each timed as the median of three interleaved
+// runs), so it is stable across machines the same way the engine
+// fast-forward gate is.
 //
 // It also re-runs the grid under the tier=screen policy at threshold 0 and
 // cross-checks that the merged output is byte-identical to the pure
@@ -64,8 +65,15 @@ int main(int argc, char** argv) {
   runtime::CampaignRunner::Options opts;
   opts.threads = args.workers;
   opts.campaign_seed = args.seed;
-  const auto detailed = runtime::CampaignRunner(opts).run(detailed_jobs);
-  const auto fast = runtime::CampaignRunner(opts).run(fast_jobs);
+  // Both tiers are timed as interleaved medians of three: the fast grid
+  // runs in a few tens of milliseconds, where one noisy run would decide
+  // the gate.
+  const auto runs = bench::interleaved_medians(2, [&](std::size_t i) {
+    return runtime::CampaignRunner(opts).run(i == 0 ? detailed_jobs
+                                                    : fast_jobs);
+  });
+  const runtime::CampaignOutput& detailed = runs[0];
+  const runtime::CampaignOutput& fast = runs[1];
   const double speedup = fast.wall_seconds > 0
                              ? detailed.wall_seconds / fast.wall_seconds
                              : 0.0;

@@ -15,6 +15,7 @@
 //                the raw campaign grid they built the table from
 #pragma once
 
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <map>
@@ -198,6 +199,28 @@ class Report {
   std::map<std::string, std::uint64_t> cells_;
   std::map<std::string, Metric> metrics_;
 };
+
+/// Wall-clock timing on a shared host: `reps` interleaved rounds (variant
+/// 0, 1, ..., n-1, then again), so a shift in host load hits every variant
+/// alike, and per variant the run with the median wall time. `run(i)` runs
+/// variant i once and returns a sample with a `wall_seconds` field.
+template <typename Run>
+auto interleaved_medians(std::size_t variants, Run run, int reps = 3) {
+  using Sample = decltype(run(std::size_t{0}));
+  std::vector<std::vector<Sample>> samples(variants);
+  for (int r = 0; r < reps; ++r) {
+    for (std::size_t i = 0; i < variants; ++i) samples[i].push_back(run(i));
+  }
+  std::vector<Sample> medians;
+  medians.reserve(variants);
+  for (auto& v : samples) {
+    std::sort(v.begin(), v.end(), [](const Sample& a, const Sample& b) {
+      return a.wall_seconds < b.wall_seconds;
+    });
+    medians.push_back(std::move(v[v.size() / 2]));
+  }
+  return medians;
+}
 
 inline void print_header(const std::string& what, const BenchArgs& a) {
   std::cout << "\n=== " << what << " ===\n"

@@ -1,51 +1,42 @@
 #include "core/baseline.hpp"
 
-#include <stdexcept>
-
 #include "ckpt/serializer.hpp"
 
 namespace unsync::core {
+
+bool store_buffer_commit(mem::MemoryHierarchy& memory,
+                         std::vector<Cycle>& buffer, CoreId core, Addr addr,
+                         Cycle now) {
+  std::erase_if(buffer, [now](Cycle done) { return done <= now; });
+  if (buffer.size() >= kStoreBufferEntries) return false;
+  buffer.push_back(memory.store_writeback(core, addr, now).done);
+  return true;
+}
 
 bool BaselineSystem::StoreBufferEnv::on_store_commit(CoreId core,
                                                      const workload::DynOp& op,
                                                      Cycle now) {
   if (in_flight_.size() <= core) in_flight_.resize(core + 1);
-  auto& buf = in_flight_[core];
-  std::erase_if(buf, [now](Cycle done) { return done <= now; });
-  if (buf.size() >= entries_) return false;
-  buf.push_back(memory_->store_writeback(core, op.mem_addr, now).done);
-  return true;
+  return store_buffer_commit(*memory_, in_flight_[core], core, op.mem_addr,
+                             now);
 }
 
 BaselineSystem::BaselineSystem(const SystemConfig& config,
                                const workload::InstStream& stream)
-    : BaselineSystem(config, detail::replicate(stream, config.num_threads)) {}
+    : BaselineSystem(config, engine::replicate(stream, config.num_threads)) {}
 
 BaselineSystem::BaselineSystem(
     const SystemConfig& config,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.fast_forward, config.avf),
-      config_(config),
-      thread_lengths_(detail::lengths_of(streams)),
+    : System(config),
       memory_(config.mem, config.num_threads),
-      env_(&memory_, kStoreBufferEntries) {
-  if (streams.size() != config.num_threads) {
-    throw std::invalid_argument("BaselineSystem: need one stream per thread");
-  }
-  detail::prewarm_from(memory_, streams);
+      env_(&memory_) {
+  init_groups(streams, config.seed, 0.0);
   for (unsigned t = 0; t < config.num_threads; ++t) {
     cores_.push_back(std::make_unique<cpu::OooCore>(
         t, config.core, &memory_, streams[t]->clone(), &env_));
     register_core(*cores_.back());
   }
-  RunResult& acc = kernel_.result();
-  acc.system = name_;
-  acc.thread_instructions = thread_lengths_;
-  acc.instructions = detail::max_length(thread_lengths_);
-}
-
-void BaselineSystem::finish(RunResult& r) const {
-  for (const auto& core : cores_) r.core_stats.push_back(core->stats());
 }
 
 void BaselineSystem::StoreBufferEnv::save_state(ckpt::Serializer& s) const {
@@ -67,13 +58,6 @@ void BaselineSystem::save_policy_state(ckpt::Serializer& s) const {
   env_.save_state(s);
   s.u64(cores_.size());
   for (const auto& core : cores_) core->save_state(s);
-}
-
-std::vector<SeqNum> BaselineSystem::group_progress() const {
-  std::vector<SeqNum> p;
-  p.reserve(cores_.size());
-  for (const auto& core : cores_) p.push_back(core->retired());
-  return p;
 }
 
 void BaselineSystem::load_policy_state(ckpt::Deserializer& d) {

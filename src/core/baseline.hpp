@@ -28,47 +28,20 @@ class BaselineSystem final : public System {
   const std::string& name() const override { return name_; }
   mem::MemoryHierarchy& memory() override { return memory_; }
 
-  // SystemPolicy phases: one group per thread, one core per group.
-  std::size_t group_count() const override { return cores_.size(); }
-  std::size_t member_count(std::size_t) const override { return 1; }
-  bool member_finished(std::size_t g, std::size_t) const override {
-    return cores_[g]->done();
-  }
-  void member_tick(std::size_t g, std::size_t, Cycle now) override {
-    cores_[g]->tick(now);
-  }
-  Cycle member_next_event(std::size_t g, std::size_t,
-                          Cycle now) const override {
-    return cores_[g]->next_event(now);
-  }
-  void member_skip_cycles(std::size_t g, std::size_t, Cycle from,
-                          Cycle to) override {
-    cores_[g]->skip_cycles(from, to);
-  }
-  Cycle next_event(std::size_t g, Cycle now) const override {
-    return members_next_event(g, now);
-  }
-  void finish(RunResult& r) const override;
-
+  // SystemPolicy phases: one group per thread, one core per group — all
+  // System's defaults. No error process: the fault channel stays empty and
+  // the fingerprint is the full policy state.
   const char* ckpt_tag() const override { return "BASE"; }
   void save_policy_state(ckpt::Serializer& s) const override;
   void load_policy_state(ckpt::Deserializer& d) override;
-
-  // Prefix-sharing hooks: the baseline has no error process at all, so its
-  // fault channel is empty and its fingerprint is the full policy state.
-  bool supports_prefix() const override { return true; }
-  std::vector<SeqNum> group_progress() const override;
-  void save_fingerprint_state(ckpt::Serializer& s) const override {
-    save_policy_state(s);
-  }
 
  private:
   /// Commit environment: a small post-commit store buffer in front of the
   /// write-back L1; commit stalls when it fills.
   class StoreBufferEnv final : public cpu::CommitEnv {
    public:
-    StoreBufferEnv(mem::MemoryHierarchy* memory, std::size_t entries)
-        : memory_(memory), entries_(entries) {}
+    explicit StoreBufferEnv(mem::MemoryHierarchy* memory)
+        : memory_(memory) {}
 
     bool on_store_commit(CoreId core, const workload::DynOp& op,
                          Cycle now) override;
@@ -78,13 +51,10 @@ class BaselineSystem final : public System {
 
    private:
     mem::MemoryHierarchy* memory_;
-    std::size_t entries_;
     std::vector<std::vector<Cycle>> in_flight_;  // per core: completion times
   };
 
   std::string name_ = "baseline";
-  SystemConfig config_;
-  std::vector<std::uint64_t> thread_lengths_;
   mem::MemoryHierarchy memory_;
   StoreBufferEnv env_;
   std::vector<std::unique_ptr<cpu::OooCore>> cores_;
@@ -92,5 +62,13 @@ class BaselineSystem final : public System {
 
 /// Size of the post-commit store buffer used by write-back configurations.
 inline constexpr std::size_t kStoreBufferEntries = 8;
+
+/// Commits one store through a write-back post-commit store buffer holding
+/// the completion cycles of its in-flight writebacks: retires the finished
+/// ones, then rejects the store (stalling commit) when kStoreBufferEntries
+/// are still in flight.
+bool store_buffer_commit(mem::MemoryHierarchy& memory,
+                         std::vector<Cycle>& buffer, CoreId core, Addr addr,
+                         Cycle now);
 
 }  // namespace unsync::core

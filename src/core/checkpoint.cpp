@@ -55,7 +55,14 @@ void System::load_checkpoint_bytes(std::string_view blob) {
 
 std::uint64_t System::state_fingerprint() const {
   ckpt::Serializer s;
-  save_fingerprint_state(s);
+  fingerprinting_ = true;
+  try {
+    save_policy_state(s);
+  } catch (...) {
+    fingerprinting_ = false;
+    throw;
+  }
+  fingerprinting_ = false;
   return ckpt::fingerprint64(s.data());
 }
 

@@ -1,29 +1,12 @@
 #include "core/dmr_checkpoint_system.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
-#include <stdexcept>
 
 #include "ckpt/serializer.hpp"
 #include "core/baseline.hpp"
-#include "fault/ser.hpp"
 
 namespace unsync::core {
-
-namespace {
-
-/// Shared write-back store-buffer behaviour (same as the baseline CMP).
-bool store_buffer_commit(mem::MemoryHierarchy& memory,
-                         std::vector<Cycle>& buffer, CoreId core, Addr addr,
-                         Cycle now) {
-  std::erase_if(buffer, [now](Cycle done) { return done <= now; });
-  if (buffer.size() >= kStoreBufferEntries) return false;
-  buffer.push_back(memory.store_writeback(core, addr, now).done);
-  return true;
-}
-
-}  // namespace
 
 bool DmrCheckpointSystem::CheckpointEnv::can_commit(CoreId core,
                                                     const workload::DynOp& op,
@@ -74,74 +57,41 @@ DmrCheckpointSystem::DmrCheckpointSystem(const SystemConfig& config,
                                          const CheckpointParams& params,
                                          const workload::InstStream& stream)
     : DmrCheckpointSystem(config, params,
-                          detail::replicate(stream, config.num_threads)) {}
+                          engine::replicate(stream, config.num_threads)) {}
 
 DmrCheckpointSystem::DmrCheckpointSystem(
     const SystemConfig& config, const CheckpointParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.fast_forward, config.avf),
-      config_(config),
+    : System(config),
       params_(params),
-      thread_lengths_(detail::lengths_of(streams)),
-      memory_(config.mem, config.num_threads * 2),
-      rng_(config.seed) {
+      memory_(config.mem, config.num_threads * 2) {
   assert(params_.checkpoint_interval > 0);
-  if (streams.size() != config_.num_threads) {
-    throw std::invalid_argument(
-        "DmrCheckpointSystem: need one stream per thread");
-  }
-  detail::prewarm_from(memory_, streams);
-  for (unsigned t = 0; t < config_.num_threads; ++t) {
+  init_groups(streams, config.seed, config.ser_per_inst);
+  for (unsigned t = 0; t < config.num_threads; ++t) {
     auto pair = std::make_unique<Pair>();
-    pair->store_buffer.resize(2);
     pair->next_boundary = params_.checkpoint_interval;
     for (unsigned side = 0; side < 2; ++side) {
       pair->env[side] =
           std::make_unique<CheckpointEnv>(this, pair.get(), side);
       pair->core[side] = std::make_unique<cpu::OooCore>(
-          t * 2 + side, config_.core, &memory_, streams[t]->clone(),
+          t * 2 + side, config.core, &memory_, streams[t]->clone(),
           pair->env[side].get());
       register_core(*pair->core[side]);
     }
-    pair->arrivals.positions = fault::schedule_arrivals(
-        config_.ser_per_inst, thread_lengths_[t], rng_);
     pairs_.push_back(std::move(pair));
   }
-  RunResult& acc = kernel_.result();
-  acc.system = name_;
-  acc.thread_instructions = thread_lengths_;
-  acc.instructions = detail::max_length(thread_lengths_);
-}
-
-void DmrCheckpointSystem::member_tick(std::size_t g, std::size_t m,
-                                      Cycle now) {
-  auto& core = *pairs_[g]->core[m];
-  if (!core.done()) core.tick(now);
-}
-
-Cycle DmrCheckpointSystem::member_next_event(std::size_t g, std::size_t m,
-                                             Cycle now) const {
-  return pairs_[g]->core[m]->next_event(now);
-}
-
-void DmrCheckpointSystem::member_skip_cycles(std::size_t g, std::size_t m,
-                                             Cycle from, Cycle to) {
-  auto& core = *pairs_[g]->core[m];
-  if (!core.done()) core.skip_cycles(from, to);
 }
 
 void DmrCheckpointSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
+  const auto position = take_arrival(g);
+  if (!position) return;
   Pair& pair = *pairs_[g];
-  const SeqNum progress =
-      std::max(pair.core[0]->retired(), pair.core[1]->retired());
-  if (!pair.arrivals.pending(progress)) return;
-  const SeqNum position = pair.arrivals.take();
   // The mismatch surfaces at the next checkpoint hash; both cores restore
   // the previous checkpoint (heavyweight) and re-execute the whole epoch.
   const Cycle resume_at = now + params_.restore_cost;
-  const auto struck = static_cast<unsigned>(rng_.below(2));
+  const auto struck = static_cast<unsigned>(channel_.rng.below(2));
   engine::record_error(acc, tracer_,
-                       {.cycle = now, .position = position,
+                       {.cycle = now, .position = *position,
                         .thread = static_cast<unsigned>(g),
                         .struck_core = struck, .cost = params_.restore_cost,
                         .rollback = true},
@@ -156,120 +106,54 @@ void DmrCheckpointSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
   pair.checkpoint_done = 0;
 }
 
-Cycle DmrCheckpointSystem::next_event(std::size_t g, Cycle now) const {
-  const Pair& pair = *pairs_[g];
-  const Cycle cand = members_next_event(g, now);
-  if (cand <= now) return now;
-  const SeqNum progress =
-      std::max(pair.core[0]->retired(), pair.core[1]->retired());
-  if (pair.arrivals.pending(progress)) return now;
-  return cand;
-}
-
-void DmrCheckpointSystem::finish(RunResult& r) const {
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      r.core_stats.push_back(pair->core[side]->stats());
-    }
-  }
-}
-
 void DmrCheckpointSystem::publish_extra_metrics() {
   if (!metrics_) return;
   metrics_->set_counter(name_ + ".checkpoints_taken", checkpoints_taken_);
 }
 
 void DmrCheckpointSystem::save_policy_state(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
+  save_fault_rng(s);
   memory_.save_state(s);
   s.u64(checkpoints_taken_);
   s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
+  for (std::size_t g = 0; g < pairs_.size(); ++g) {
+    const Pair& pair = *pairs_[g];
     for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->save_state(s);
-      ckpt::save_u64_vec(s, pair->store_buffer[side]);
+      pair.core[side]->save_state(s);
+      ckpt::save_u64_vec(s, pair.store_buffer[side]);
     }
-    s.u64(pair->next_boundary);
-    s.b(pair->reached[0]);
-    s.b(pair->reached[1]);
-    s.u64(pair->reached_at[0]);
-    s.u64(pair->reached_at[1]);
-    s.u64(pair->checkpoint_done);
-    s.u64(pair->last_committed_boundary);
-    pair->arrivals.save_state(s);
-  }
-}
-
-void DmrCheckpointSystem::save_fault_channel(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    engine::save_arrival_schedule(s, pair->arrivals);
-  }
-}
-
-void DmrCheckpointSystem::load_fault_channel(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  if (d.u64() != pairs_.size()) {
-    throw ckpt::CkptError("dmr-checkpoint fault-channel pair-count mismatch");
-  }
-  for (const auto& pair : pairs_) {
-    engine::load_arrival_schedule(d, pair->arrivals);
-  }
-}
-
-std::vector<SeqNum> DmrCheckpointSystem::group_progress() const {
-  std::vector<SeqNum> p;
-  p.reserve(pairs_.size());
-  for (const auto& pair : pairs_) {
-    p.push_back(std::max(pair->core[0]->retired(), pair->core[1]->retired()));
-  }
-  return p;
-}
-
-void DmrCheckpointSystem::save_fingerprint_state(ckpt::Serializer& s) const {
-  memory_.save_state(s);
-  s.u64(checkpoints_taken_);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->save_state(s);
-      ckpt::save_u64_vec(s, pair->store_buffer[side]);
-    }
-    s.u64(pair->next_boundary);
-    s.b(pair->reached[0]);
-    s.b(pair->reached[1]);
-    s.u64(pair->reached_at[0]);
-    s.u64(pair->reached_at[1]);
-    s.u64(pair->checkpoint_done);
-    s.u64(pair->last_committed_boundary);
+    s.u64(pair.next_boundary);
+    s.b(pair.reached[0]);
+    s.b(pair.reached[1]);
+    s.u64(pair.reached_at[0]);
+    s.u64(pair.reached_at[1]);
+    s.u64(pair.checkpoint_done);
+    s.u64(pair.last_committed_boundary);
+    save_arrivals(s, g);
   }
 }
 
 void DmrCheckpointSystem::load_policy_state(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
+  load_fault_rng(d);
   memory_.load_state(d);
   checkpoints_taken_ = d.u64();
   if (d.u64() != pairs_.size()) {
     throw ckpt::CkptError("dmr-checkpoint pair-count mismatch");
   }
-  for (const auto& pair : pairs_) {
+  for (std::size_t g = 0; g < pairs_.size(); ++g) {
+    Pair& pair = *pairs_[g];
     for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->load_state(d);
-      ckpt::load_u64_vec(d, pair->store_buffer[side]);
+      pair.core[side]->load_state(d);
+      ckpt::load_u64_vec(d, pair.store_buffer[side]);
     }
-    pair->next_boundary = d.u64();
-    pair->reached[0] = d.b();
-    pair->reached[1] = d.b();
-    pair->reached_at[0] = d.u64();
-    pair->reached_at[1] = d.u64();
-    pair->checkpoint_done = d.u64();
-    pair->last_committed_boundary = d.u64();
-    pair->arrivals.load_state(d, "dmr-checkpoint");
+    pair.next_boundary = d.u64();
+    pair.reached[0] = d.b();
+    pair.reached[1] = d.b();
+    pair.reached_at[0] = d.u64();
+    pair.reached_at[1] = d.u64();
+    pair.checkpoint_done = d.u64();
+    pair.last_committed_boundary = d.u64();
+    load_arrivals(d, g);
   }
 }
 

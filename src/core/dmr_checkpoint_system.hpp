@@ -10,9 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/system.hpp"
-#include "engine/error_injection.hpp"
 #include "mem/hierarchy.hpp"
 #include "workload/dyn_op.hpp"
 
@@ -44,31 +42,13 @@ class DmrCheckpointSystem final : public System {
 
   std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
 
-  // SystemPolicy phases: one decoupled pair per thread.
-  std::size_t group_count() const override { return pairs_.size(); }
-  std::size_t member_count(std::size_t) const override { return 2; }
-  bool member_finished(std::size_t g, std::size_t m) const override {
-    return pairs_[g]->core[m]->done();
-  }
-  void member_tick(std::size_t g, std::size_t m, Cycle now) override;
-  Cycle member_next_event(std::size_t g, std::size_t m,
-                          Cycle now) const override;
-  void member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
-                          Cycle to) override;
+  // SystemPolicy phases: one decoupled pair per thread; the member phases
+  // are System's defaults.
   void on_error(std::size_t g, Cycle now, RunResult& acc) override;
-  Cycle next_event(std::size_t g, Cycle now) const override;
-  void finish(RunResult& r) const override;
 
   const char* ckpt_tag() const override { return "DMRC"; }
   void save_policy_state(ckpt::Serializer& s) const override;
   void load_policy_state(ckpt::Deserializer& d) override;
-
-  // Prefix-sharing hooks (see core/system.hpp).
-  bool supports_prefix() const override { return true; }
-  void save_fault_channel(ckpt::Serializer& s) const override;
-  void load_fault_channel(ckpt::Deserializer& d) override;
-  std::vector<SeqNum> group_progress() const override;
-  void save_fingerprint_state(ckpt::Serializer& s) const override;
 
  protected:
   void publish_extra_metrics() override;
@@ -94,22 +74,18 @@ class DmrCheckpointSystem final : public System {
   struct Pair {
     std::unique_ptr<cpu::OooCore> core[2];
     std::unique_ptr<CheckpointEnv> env[2];
-    std::vector<std::vector<Cycle>> store_buffer;
+    std::vector<Cycle> store_buffer[2];
     /// Next checkpoint boundary (instruction count) and sync state.
     SeqNum next_boundary = 0;
     bool reached[2] = {false, false};
     Cycle reached_at[2] = {0, 0};
     Cycle checkpoint_done = 0;  ///< when the in-progress capture finishes
     SeqNum last_committed_boundary = 0;  ///< rollback target
-    engine::ArrivalCursor arrivals;
   };
 
   std::string name_ = "dmr-checkpoint";
-  SystemConfig config_;
   CheckpointParams params_;
-  std::vector<std::uint64_t> thread_lengths_;
   mem::MemoryHierarchy memory_;
-  Rng rng_;
   std::vector<std::unique_ptr<Pair>> pairs_;
   std::uint64_t checkpoints_taken_ = 0;
 };

@@ -1,12 +1,9 @@
 #include "core/hetero_checker_system.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
-#include <stdexcept>
 
 #include "ckpt/serializer.hpp"
-#include "fault/ser.hpp"
 
 namespace unsync::core {
 
@@ -96,50 +93,37 @@ HeteroCheckerSystem::HeteroCheckerSystem(const SystemConfig& config,
                                          const HeteroParams& params,
                                          const workload::InstStream& stream)
     : HeteroCheckerSystem(config, params,
-                          detail::replicate(stream, config.num_threads)) {}
+                          engine::replicate(stream, config.num_threads)) {}
 
 HeteroCheckerSystem::HeteroCheckerSystem(
     const SystemConfig& config, const HeteroParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.fast_forward, config.avf),
-      config_(config),
+    : System(config),
       params_(params),
-      thread_lengths_(detail::lengths_of(streams)),
       // Only the leaders own caches: the checker runs log-fed, touching the
       // hierarchy solely through verified-store writebacks on the leader's
       // L1.
-      memory_(config.mem, config.num_threads),
-      rng_(config.seed) {
-  if (streams.size() != config_.num_threads) {
-    throw std::invalid_argument(
-        "HeteroCheckerSystem: need one stream per thread");
-  }
-  detail::prewarm_from(memory_, streams);
+      memory_(config.mem, config.num_threads) {
+  init_groups(streams, config.seed, config.ser_per_inst);
   cpu::InOrderConfig checker_cfg;
   checker_cfg.width = params_.checker_width;
   checker_cfg.load_latency = params_.checker_load_latency;
-  checker_cfg.sample_interval = config_.core.sample_interval;
-  for (unsigned t = 0; t < config_.num_threads; ++t) {
+  checker_cfg.sample_interval = config.core.sample_interval;
+  for (unsigned t = 0; t < config.num_threads; ++t) {
     auto group = std::make_unique<Group>();
     group->log = std::make_unique<cpu::CheckLog>(params_.log_entries);
     group->leader_env = std::make_unique<LeaderEnv>(this, group.get());
     group->checker_env = std::make_unique<CheckerEnv>(this, group.get());
     group->leader = std::make_unique<cpu::OooCore>(
-        t, config_.core, &memory_, streams[t]->clone(),
+        t, config.core, &memory_, streams[t]->clone(),
         group->leader_env.get());
     register_core(*group->leader);
     group->checker = std::make_unique<cpu::InOrderCore>(
-        config_.num_threads + t, checker_cfg, nullptr, streams[t]->clone(),
+        config.num_threads + t, checker_cfg, nullptr, streams[t]->clone(),
         group->checker_env.get());
     group->checker->set_tracer(&tracer_);
-    group->arrivals.positions = fault::schedule_arrivals(
-        config_.ser_per_inst, thread_lengths_[t], rng_);
     groups_.push_back(std::move(group));
   }
-  RunResult& acc = kernel_.result();
-  acc.system = name_;
-  acc.thread_instructions = thread_lengths_;
-  acc.instructions = detail::max_length(thread_lengths_);
 }
 
 bool HeteroCheckerSystem::member_finished(std::size_t g,
@@ -179,11 +163,12 @@ void HeteroCheckerSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
   Group& group = *groups_[g];
   // A strike becomes latent when the leader's progress crosses it — the
   // leader keeps running on corrupted state until verification catches it.
-  if (!group.fault_pending &&
-      group.arrivals.pending(group.leader->retired())) {
-    group.fault_position = group.arrivals.take();
-    group.fault_cycle = now;
-    group.fault_pending = true;
+  if (!group.fault_pending) {
+    if (const auto position = take_arrival(g)) {
+      group.fault_position = *position;
+      group.fault_cycle = now;
+      group.fault_pending = true;
+    }
   }
   // Detection: the checker verifies the struck instruction and the compare
   // mismatches. Detection latency is the log residency of that entry.
@@ -216,7 +201,7 @@ Cycle HeteroCheckerSystem::next_event(std::size_t g, Cycle now) const {
   const Cycle lead =
       group.leader->done() ? kNever : group.leader->next_event(now);
   if (lead <= now) return now;
-  if (group.arrivals.pending(group.leader->retired())) return now;
+  if (channel_.arrivals[g].pending(progress(g))) return now;
   if (group.fault_pending &&
       group.checker->retired() > group.fault_position) {
     return now;
@@ -241,9 +226,7 @@ Cycle HeteroCheckerSystem::next_event(std::size_t g, Cycle now) const {
 void HeteroCheckerSystem::finish(RunResult& r) const {
   // Leaders first (aligning core_stats[i] with registered core i and the
   // "<name>.core<i>" metric prefixes), then the checkers.
-  for (const auto& group : groups_) {
-    r.core_stats.push_back(group->leader->stats());
-  }
+  System::finish(r);
   for (const auto& group : groups_) {
     r.core_stats.push_back(group->checker->stats());
     r.cb_full_stalls += group->log_full_stalls;
@@ -275,87 +258,42 @@ void HeteroCheckerSystem::register_avf(fault::AvfCollector& collector) {
 }
 
 void HeteroCheckerSystem::save_policy_state(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
+  save_fault_rng(s);
   memory_.save_state(s);
   s.u64(groups_.size());
-  for (const auto& group : groups_) {
-    group->leader->save_state(s);
-    group->checker->save_state(s);
-    group->log->save_state(s);
-    s.b(group->fault_pending);
-    s.u64(group->fault_position);
-    s.u64(group->fault_cycle);
-    group->arrivals.save_state(s);
-    s.u64(group->log_full_stalls);
-    s.u64(group->detections);
-    s.u64(group->detection_latency_total);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const Group& group = *groups_[g];
+    group.leader->save_state(s);
+    group.checker->save_state(s);
+    group.log->save_state(s);
+    s.b(group.fault_pending);
+    s.u64(group.fault_position);
+    s.u64(group.fault_cycle);
+    save_arrivals(s, g);
+    s.u64(group.log_full_stalls);
+    s.u64(group.detections);
+    s.u64(group.detection_latency_total);
   }
 }
 
 void HeteroCheckerSystem::load_policy_state(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
+  load_fault_rng(d);
   memory_.load_state(d);
   if (d.u64() != groups_.size()) {
     throw ckpt::CkptError("hetero group-count mismatch");
   }
-  for (const auto& group : groups_) {
-    group->leader->load_state(d);
-    group->checker->load_state(d);
-    group->log->load_state(d);
-    group->fault_pending = d.b();
-    group->fault_position = d.u64();
-    group->fault_cycle = d.u64();
-    group->arrivals.load_state(d, "hetero");
-    group->log_full_stalls = d.u64();
-    group->detections = d.u64();
-    group->detection_latency_total = d.u64();
-  }
-}
-
-void HeteroCheckerSystem::save_fault_channel(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  s.u64(groups_.size());
-  for (const auto& group : groups_) {
-    engine::save_arrival_schedule(s, group->arrivals);
-  }
-}
-
-void HeteroCheckerSystem::load_fault_channel(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  if (d.u64() != groups_.size()) {
-    throw ckpt::CkptError("hetero fault-channel group-count mismatch");
-  }
-  for (const auto& group : groups_) {
-    engine::load_arrival_schedule(d, group->arrivals);
-  }
-}
-
-std::vector<SeqNum> HeteroCheckerSystem::group_progress() const {
-  std::vector<SeqNum> p;
-  p.reserve(groups_.size());
-  for (const auto& group : groups_) {
-    p.push_back(group->leader->retired());
-  }
-  return p;
-}
-
-void HeteroCheckerSystem::save_fingerprint_state(ckpt::Serializer& s) const {
-  memory_.save_state(s);
-  s.u64(groups_.size());
-  for (const auto& group : groups_) {
-    group->leader->save_state(s);
-    group->checker->save_state(s);
-    group->log->save_state(s);
-    s.b(group->fault_pending);
-    s.u64(group->fault_position);
-    s.u64(group->fault_cycle);
-    s.u64(group->log_full_stalls);
-    s.u64(group->detections);
-    s.u64(group->detection_latency_total);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    Group& group = *groups_[g];
+    group.leader->load_state(d);
+    group.checker->load_state(d);
+    group.log->load_state(d);
+    group.fault_pending = d.b();
+    group.fault_position = d.u64();
+    group.fault_cycle = d.u64();
+    load_arrivals(d, g);
+    group.log_full_stalls = d.u64();
+    group.detections = d.u64();
+    group.detection_latency_total = d.u64();
   }
 }
 

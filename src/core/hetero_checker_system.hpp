@@ -26,11 +26,9 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/system.hpp"
 #include "cpu/check_log.hpp"
 #include "cpu/in_order_core.hpp"
-#include "engine/error_injection.hpp"
 #include "mem/hierarchy.hpp"
 #include "workload/dyn_op.hpp"
 
@@ -61,7 +59,8 @@ class HeteroCheckerSystem final : public System {
   mem::MemoryHierarchy& memory() override { return memory_; }
 
   // SystemPolicy phases: one asymmetric leader+checker group per thread.
-  std::size_t group_count() const override { return groups_.size(); }
+  // Only the leaders are registered cores, so the member phases are this
+  // system's own; group progress is the leader's, System's default.
   std::size_t member_count(std::size_t) const override { return 2; }
   bool member_finished(std::size_t g, std::size_t m) const override;
   void member_tick(std::size_t g, std::size_t m, Cycle now) override;
@@ -76,13 +75,6 @@ class HeteroCheckerSystem final : public System {
   const char* ckpt_tag() const override { return "HTRO"; }
   void save_policy_state(ckpt::Serializer& s) const override;
   void load_policy_state(ckpt::Deserializer& d) override;
-
-  // Prefix-sharing hooks (see core/system.hpp).
-  bool supports_prefix() const override { return true; }
-  void save_fault_channel(ckpt::Serializer& s) const override;
-  void load_fault_channel(ckpt::Deserializer& d) override;
-  std::vector<SeqNum> group_progress() const override;
-  void save_fingerprint_state(ckpt::Serializer& s) const override;
 
  protected:
   void publish_extra_metrics() override;
@@ -130,7 +122,6 @@ class HeteroCheckerSystem final : public System {
     std::unique_ptr<cpu::CheckLog> log;
     std::unique_ptr<LeaderEnv> leader_env;
     std::unique_ptr<CheckerEnv> checker_env;
-    engine::ArrivalCursor arrivals;
     /// A strike on the leader, latent until the checker verifies past it.
     bool fault_pending = false;
     SeqNum fault_position = 0;
@@ -146,11 +137,8 @@ class HeteroCheckerSystem final : public System {
   }
 
   std::string name_ = "hetero";
-  SystemConfig config_;
   HeteroParams params_;
-  std::vector<std::uint64_t> thread_lengths_;
   mem::MemoryHierarchy memory_;
-  Rng rng_;
   std::vector<std::unique_ptr<Group>> groups_;
 };
 

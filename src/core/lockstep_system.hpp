@@ -11,9 +11,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/system.hpp"
-#include "engine/error_injection.hpp"
 #include "mem/hierarchy.hpp"
 #include "workload/dyn_op.hpp"
 
@@ -39,31 +37,14 @@ class LockstepSystem final : public System {
   const std::string& name() const override { return name_; }
   mem::MemoryHierarchy& memory() override { return memory_; }
 
-  // SystemPolicy phases: one coupled pair per thread.
-  std::size_t group_count() const override { return pairs_.size(); }
-  std::size_t member_count(std::size_t) const override { return 2; }
-  bool member_finished(std::size_t g, std::size_t m) const override {
-    return pairs_[g]->core[m]->done();
-  }
-  void member_tick(std::size_t g, std::size_t m, Cycle now) override;
-  Cycle member_next_event(std::size_t g, std::size_t m,
-                          Cycle now) const override;
-  void member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
-                          Cycle to) override;
+  // SystemPolicy phases: one coupled pair per thread; the member phases
+  // are System's defaults.
   void on_error(std::size_t g, Cycle now, RunResult& acc) override;
-  Cycle next_event(std::size_t g, Cycle now) const override;
   void finish(RunResult& r) const override;
 
   const char* ckpt_tag() const override { return "LOCK"; }
   void save_policy_state(ckpt::Serializer& s) const override;
   void load_policy_state(ckpt::Deserializer& d) override;
-
-  // Prefix-sharing hooks (see core/system.hpp).
-  bool supports_prefix() const override { return true; }
-  void save_fault_channel(ckpt::Serializer& s) const override;
-  void load_fault_channel(ckpt::Deserializer& d) override;
-  std::vector<SeqNum> group_progress() const override;
-  void save_fingerprint_state(ckpt::Serializer& s) const override;
 
  private:
   struct Pair;
@@ -86,17 +67,13 @@ class LockstepSystem final : public System {
   struct Pair {
     std::unique_ptr<cpu::OooCore> core[2];
     std::unique_ptr<LockstepEnv> env[2];
-    std::vector<std::vector<Cycle>> store_buffer;
-    engine::ArrivalCursor arrivals;
+    std::vector<Cycle> store_buffer[2];
     std::uint64_t lockstep_stalls = 0;
   };
 
   std::string name_ = "lockstep";
-  SystemConfig config_;
   LockstepParams params_;
-  std::vector<std::uint64_t> thread_lengths_;
   mem::MemoryHierarchy memory_;
-  Rng rng_;
   std::vector<std::unique_ptr<Pair>> pairs_;
 };
 

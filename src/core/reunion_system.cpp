@@ -1,13 +1,10 @@
 #include "core/reunion_system.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
-#include <stdexcept>
 
 #include "ckpt/serializer.hpp"
 #include "core/baseline.hpp"
-#include "fault/ser.hpp"
 
 namespace unsync::core {
 
@@ -119,12 +116,8 @@ bool ReunionSystem::ReunionEnv::can_commit(CoreId core,
 bool ReunionSystem::ReunionEnv::on_store_commit(CoreId core,
                                                 const workload::DynOp& op,
                                                 Cycle now) {
-  Pair& pair = *pair_;
-  auto& buf = pair.store_buffer[side_];
-  std::erase_if(buf, [now](Cycle done) { return done <= now; });
-  if (buf.size() >= kStoreBufferEntries) return false;
-  buf.push_back(sys_->memory_.store_writeback(core, op.mem_addr, now).done);
-  return true;
+  return store_buffer_commit(sys_->memory_, pair_->store_buffer[side_], core,
+                             op.mem_addr, now);
 }
 
 void ReunionSystem::ReunionEnv::on_commit(CoreId core,
@@ -220,28 +213,22 @@ ReunionSystem::ReunionSystem(const SystemConfig& config,
                              const ReunionParams& params,
                              const workload::InstStream& stream)
     : ReunionSystem(config, params,
-                    detail::replicate(stream, config.num_threads)) {}
+                    engine::replicate(stream, config.num_threads)) {}
 
 ReunionSystem::ReunionSystem(
     const SystemConfig& config, const ReunionParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.fast_forward, config.avf),
+    : System(config),
       config_(config),
       params_(params),
       plan_(fault::reunion_plan()),
-      thread_lengths_(detail::lengths_of(streams)),
-      memory_(config.mem, config.num_threads * 2),
-      rng_(config.seed) {
+      memory_(config.mem, config.num_threads * 2) {
   effective_fi_ = std::min(
       params_.fingerprint_interval,
       std::max(1u, config_.core.rob_entries - config_.core.commit_width));
-  if (streams.size() != config_.num_threads) {
-    throw std::invalid_argument("ReunionSystem: need one stream per thread");
-  }
-  detail::prewarm_from(memory_, streams);
+  init_groups(streams, config.seed, config.ser_per_inst);
   for (unsigned t = 0; t < config_.num_threads; ++t) {
     auto pair = std::make_unique<Pair>();
-    pair->store_buffer.resize(2);
     for (unsigned side = 0; side < 2; ++side) {
       const CoreId core_id = t * 2 + side;
       pair->env[side] = std::make_unique<ReunionEnv>(this, pair.get(), side);
@@ -250,38 +237,14 @@ ReunionSystem::ReunionSystem(
           pair->env[side].get());
       register_core(*pair->core[side]);
     }
-    pair->arrivals.positions = fault::schedule_arrivals(
-        config_.ser_per_inst, thread_lengths_[t], rng_);
     pairs_.push_back(std::move(pair));
   }
-  RunResult& acc = kernel_.result();
-  acc.system = name_;
-  acc.thread_instructions = thread_lengths_;
-  acc.instructions = detail::max_length(thread_lengths_);
-}
-
-void ReunionSystem::member_tick(std::size_t g, std::size_t m, Cycle now) {
-  auto& core = *pairs_[g]->core[m];
-  if (!core.done()) core.tick(now);
-}
-
-Cycle ReunionSystem::member_next_event(std::size_t g, std::size_t m,
-                                       Cycle now) const {
-  return pairs_[g]->core[m]->next_event(now);
-}
-
-void ReunionSystem::member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
-                                       Cycle to) {
-  auto& core = *pairs_[g]->core[m];
-  if (!core.done()) core.skip_cycles(from, to);
 }
 
 void ReunionSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
+  const auto position = take_arrival(g);
+  if (!position) return;
   Pair& pair = *pairs_[g];
-  const SeqNum progress =
-      std::max(pair.core[0]->retired(), pair.core[1]->retired());
-  if (!pair.arrivals.pending(progress)) return;
-  const SeqNum position = pair.arrivals.take();
   const auto thread = static_cast<unsigned>(g);
 
   // The corrupted fingerprint mismatches at the next comparison; both cores
@@ -290,9 +253,9 @@ void ReunionSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
   const SeqNum target =
       std::min(pair.verified_watermark[0], pair.verified_watermark[1]);
   const Cycle resume_at = now + params_.rollback_penalty;
-  const auto struck = static_cast<unsigned>(rng_.below(2));
+  const auto struck = static_cast<unsigned>(channel_.rng.below(2));
   engine::record_error(acc, tracer_,
-                       {.cycle = now, .position = position, .thread = thread,
+                       {.cycle = now, .position = *position, .thread = thread,
                         .struck_core = struck, .cost = params_.rollback_penalty,
                         .rollback = true},
                        target);
@@ -304,37 +267,24 @@ void ReunionSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
   pair.serialize_queue.clear();
 }
 
-Cycle ReunionSystem::next_event(std::size_t g, Cycle now) const {
-  const Pair& pair = *pairs_[g];
-  const Cycle cand = members_next_event(g, now);
-  if (cand <= now) return now;
-  // Error injection fires when progress has crossed the next arrival;
-  // progress only advances through (vetoed) commits.
-  const SeqNum progress =
-      std::max(pair.core[0]->retired(), pair.core[1]->retired());
-  if (pair.arrivals.pending(progress)) return now;
-  return cand;
-}
-
 void ReunionSystem::finish(RunResult& r) const {
+  System::finish(r);
   for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      r.core_stats.push_back(pair->core[side]->stats());
-    }
     r.fingerprint_syncs += pair->serializing_syncs;
   }
 }
 
 void ReunionSystem::save_policy_state(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
+  save_fault_rng(s);
   memory_.save_state(s);
   s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
+  for (std::size_t g = 0; g < pairs_.size(); ++g) {
+    const Pair& pair = *pairs_[g];
     for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->save_state(s);
+      pair.core[side]->save_state(s);
     }
-    s.u64(pair->fingerprints.size());
-    for (const Fingerprint& fp : pair->fingerprints) {
+    s.u64(pair.fingerprints.size());
+    for (const Fingerprint& fp : pair.fingerprints) {
       for (unsigned side = 0; side < 2; ++side) {
         s.u64(fp.count[side]);
         s.b(fp.closed[side]);
@@ -342,8 +292,8 @@ void ReunionSystem::save_policy_state(ckpt::Serializer& s) const {
       }
       s.u64(fp.verify_done);
     }
-    s.u64(pair->serialize_queue.size());
-    for (const SerializeSync& sync : pair->serialize_queue) {
+    s.u64(pair.serialize_queue.size());
+    for (const SerializeSync& sync : pair.serialize_queue) {
       s.u64(sync.seq);
       for (unsigned side = 0; side < 2; ++side) {
         s.b(sync.requested[side]);
@@ -352,85 +302,22 @@ void ReunionSystem::save_policy_state(ckpt::Serializer& s) const {
       }
       s.u64(sync.ready_at);
     }
-    for (const auto& buf : pair->store_buffer) ckpt::save_u64_vec(s, buf);
-    pair->arrivals.save_state(s);
-    s.u64(pair->serializing_syncs);
-    s.u64(pair->verified_watermark[0]);
-    s.u64(pair->verified_watermark[1]);
-  }
-}
-
-void ReunionSystem::save_fault_channel(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    engine::save_arrival_schedule(s, pair->arrivals);
-  }
-}
-
-void ReunionSystem::load_fault_channel(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  if (d.u64() != pairs_.size()) {
-    throw ckpt::CkptError("reunion fault-channel pair-count mismatch");
-  }
-  for (const auto& pair : pairs_) {
-    engine::load_arrival_schedule(d, pair->arrivals);
-  }
-}
-
-std::vector<SeqNum> ReunionSystem::group_progress() const {
-  std::vector<SeqNum> p;
-  p.reserve(pairs_.size());
-  for (const auto& pair : pairs_) {
-    p.push_back(std::max(pair->core[0]->retired(), pair->core[1]->retired()));
-  }
-  return p;
-}
-
-void ReunionSystem::save_fingerprint_state(ckpt::Serializer& s) const {
-  memory_.save_state(s);
-  s.u64(pairs_.size());
-  for (const auto& pair : pairs_) {
-    for (unsigned side = 0; side < 2; ++side) {
-      pair->core[side]->save_state(s);
-    }
-    s.u64(pair->fingerprints.size());
-    for (const Fingerprint& fp : pair->fingerprints) {
-      for (unsigned side = 0; side < 2; ++side) {
-        s.u64(fp.count[side]);
-        s.b(fp.closed[side]);
-        s.u64(fp.closed_at[side]);
-      }
-      s.u64(fp.verify_done);
-    }
-    s.u64(pair->serialize_queue.size());
-    for (const SerializeSync& sync : pair->serialize_queue) {
-      s.u64(sync.seq);
-      for (unsigned side = 0; side < 2; ++side) {
-        s.b(sync.requested[side]);
-        s.b(sync.committed[side]);
-        s.u64(sync.request_at[side]);
-      }
-      s.u64(sync.ready_at);
-    }
-    for (const auto& buf : pair->store_buffer) ckpt::save_u64_vec(s, buf);
-    s.u64(pair->serializing_syncs);
-    s.u64(pair->verified_watermark[0]);
-    s.u64(pair->verified_watermark[1]);
+    for (const auto& buf : pair.store_buffer) ckpt::save_u64_vec(s, buf);
+    save_arrivals(s, g);
+    s.u64(pair.serializing_syncs);
+    s.u64(pair.verified_watermark[0]);
+    s.u64(pair.verified_watermark[1]);
   }
 }
 
 void ReunionSystem::load_policy_state(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
+  load_fault_rng(d);
   memory_.load_state(d);
   if (d.u64() != pairs_.size()) {
     throw ckpt::CkptError("reunion pair-count mismatch");
   }
-  for (const auto& pair : pairs_) {
+  for (std::size_t g = 0; g < pairs_.size(); ++g) {
+    const auto& pair = pairs_[g];
     for (unsigned side = 0; side < 2; ++side) {
       pair->core[side]->load_state(d);
     }
@@ -454,7 +341,7 @@ void ReunionSystem::load_policy_state(ckpt::Deserializer& d) {
       sync.ready_at = d.u64();
     }
     for (auto& buf : pair->store_buffer) ckpt::load_u64_vec(d, buf);
-    pair->arrivals.load_state(d, "reunion");
+    load_arrivals(d, g);
     pair->serializing_syncs = d.u64();
     pair->verified_watermark[0] = d.u64();
     pair->verified_watermark[1] = d.u64();

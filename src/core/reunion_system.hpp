@@ -23,9 +23,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/system.hpp"
-#include "engine/error_injection.hpp"
 #include "fault/protection.hpp"
 #include "mem/hierarchy.hpp"
 #include "workload/dyn_op.hpp"
@@ -72,31 +70,14 @@ class ReunionSystem final : public System {
   mem::MemoryHierarchy& memory() override { return memory_; }
   const fault::ProtectionPlan& plan() const { return plan_; }
 
-  // SystemPolicy phases: one vocal/mute pair per thread.
-  std::size_t group_count() const override { return pairs_.size(); }
-  std::size_t member_count(std::size_t) const override { return 2; }
-  bool member_finished(std::size_t g, std::size_t m) const override {
-    return pairs_[g]->core[m]->done();
-  }
-  void member_tick(std::size_t g, std::size_t m, Cycle now) override;
-  Cycle member_next_event(std::size_t g, std::size_t m,
-                          Cycle now) const override;
-  void member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
-                          Cycle to) override;
+  // SystemPolicy phases: one vocal/mute pair per thread; the member phases
+  // are System's defaults.
   void on_error(std::size_t g, Cycle now, RunResult& acc) override;
-  Cycle next_event(std::size_t g, Cycle now) const override;
   void finish(RunResult& r) const override;
 
   const char* ckpt_tag() const override { return "REUN"; }
   void save_policy_state(ckpt::Serializer& s) const override;
   void load_policy_state(ckpt::Deserializer& d) override;
-
-  // Prefix-sharing hooks (see core/system.hpp).
-  bool supports_prefix() const override { return true; }
-  void save_fault_channel(ckpt::Serializer& s) const override;
-  void load_fault_channel(ckpt::Deserializer& d) override;
-  std::vector<SeqNum> group_progress() const override;
-  void save_fingerprint_state(ckpt::Serializer& s) const override;
 
  private:
   struct Pair;
@@ -149,8 +130,7 @@ class ReunionSystem final : public System {
     std::unique_ptr<ReunionEnv> env[2];
     std::deque<Fingerprint> fingerprints;  // oldest first; back may be open
     std::deque<SerializeSync> serialize_queue;
-    std::vector<std::vector<Cycle>> store_buffer;  // per side
-    engine::ArrivalCursor arrivals;
+    std::vector<Cycle> store_buffer[2];
     std::uint64_t serializing_syncs = 0;
     /// Commit watermark of the last fully verified fingerprint, per side
     /// (rollback target).
@@ -173,9 +153,7 @@ class ReunionSystem final : public System {
   SystemConfig config_;
   ReunionParams params_;
   fault::ProtectionPlan plan_;
-  std::vector<std::uint64_t> thread_lengths_;
   mem::MemoryHierarchy memory_;
-  Rng rng_;
   std::vector<std::unique_ptr<Pair>> pairs_;
   unsigned effective_fi_ = 10;
 };

@@ -1,5 +1,11 @@
 #include "core/system.hpp"
 
+#include <algorithm>
+#include <array>
+#include <stdexcept>
+
+#include "ckpt/serializer.hpp"
+
 namespace unsync::core {
 
 void System::save_state(ckpt::Serializer& s) const {
@@ -8,14 +14,76 @@ void System::save_state(ckpt::Serializer& s) const {
 
 void System::load_state(ckpt::Deserializer& d) { kernel_.load_state(*this, d); }
 
+void System::init_groups(
+    const std::vector<const workload::InstStream*>& streams,
+    std::uint64_t seed, double ser_per_inst) {
+  if (streams.size() != num_threads_) {
+    throw std::invalid_argument(name() + ": need one stream per thread");
+  }
+  engine::prewarm_from(memory(), streams);
+  const std::vector<std::uint64_t> lengths = engine::lengths_of(streams);
+  channel_.draw(seed, ser_per_inst, lengths);
+  RunResult& acc = kernel_.result();
+  acc.system = name();
+  acc.instructions = engine::max_length(lengths);
+  acc.thread_instructions = lengths;
+}
+
 void System::register_core(cpu::OooCore& core) {
   core.set_tracer(&tracer_);
   registered_cores_.push_back(&core);
+  // Final once the last core registers: cores come in group-major order.
+  cores_per_group_ = registered_cores_.size() / num_threads_;
+}
+
+SeqNum System::progress(std::size_t g) const {
+  SeqNum p = 0;
+  for (std::size_t m = 0; m < cores_per_group_; ++m) {
+    p = std::max(p, group_core(g, m).retired());
+  }
+  return p;
+}
+
+std::vector<SeqNum> System::group_progress() const {
+  std::vector<SeqNum> p;
+  p.reserve(num_threads_);
+  for (std::size_t g = 0; g < num_threads_; ++g) p.push_back(progress(g));
+  return p;
+}
+
+Cycle System::next_event(std::size_t g, Cycle now) const {
+  const Cycle cand = members_next_event(g, now);
+  if (cand <= now || channel_.arrivals[g].pending(progress(g))) return now;
+  return cand;
+}
+
+void System::finish(RunResult& r) const {
+  for (const cpu::OooCore* core : registered_cores_) {
+    r.core_stats.push_back(core->stats());
+  }
+}
+
+void System::save_fault_rng(ckpt::Serializer& s) const {
+  if (fingerprinting_) return;
+  for (const std::uint64_t word : channel_.rng.state()) s.u64(word);
+}
+
+void System::save_arrivals(ckpt::Serializer& s, std::size_t g) const {
+  if (!fingerprinting_) channel_.arrivals[g].save_state(s);
+}
+
+void System::load_fault_rng(ckpt::Deserializer& d) {
+  std::array<std::uint64_t, 4> words{};
+  for (std::uint64_t& word : words) word = d.u64();
+  channel_.rng.set_state(words);
+}
+
+void System::load_arrivals(ckpt::Deserializer& d, std::size_t g) {
+  channel_.arrivals[g].load_state(d, name().c_str());
 }
 
 std::string System::core_prefix(std::size_t i) const {
-  const std::size_t per =
-      num_threads_ ? registered_cores_.size() / num_threads_ : 1;
+  const std::size_t per = cores_per_group_;
   if (per <= 1) return name() + ".core" + std::to_string(i);
   return name() + ".group" + std::to_string(i / per) + ".core" +
          std::to_string(i % per);

@@ -4,25 +4,28 @@
 //
 // Since the engine refactor (docs/ENGINE.md) the cycle loop itself lives in
 // engine::SimKernel; a System is an engine::SystemPolicy plus the shared
-// core/observability/checkpoint plumbing. The result and helper spellings
-// core::RunResult, core::ErrorEvent, core::save_result, core::detail::*
-// remain valid aliases of their engine:: homes.
+// redundancy-group, fault-channel, observability and checkpoint plumbing,
+// so each concrete system keeps only its own mechanism. The result
+// spellings core::RunResult, core::ErrorEvent and core::save_result remain
+// valid aliases of their engine:: homes.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/types.hpp"
 #include "cpu/core_config.hpp"
 #include "cpu/ooo_core.hpp"
+#include "engine/error_injection.hpp"
 #include "engine/policy.hpp"
-#include "fault/avf.hpp"
 #include "engine/run_result.hpp"
 #include "engine/sim_kernel.hpp"
 #include "engine/sim_model.hpp"
 #include "engine/stream_utils.hpp"
+#include "fault/avf.hpp"
 #include "mem/config.hpp"
 #include "mem/hierarchy.hpp"
 #include "obs/metrics.hpp"
@@ -130,37 +133,63 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   //
   // A faulty run differs from the ser=0 golden run of the same
   // configuration ONLY in its fault channel — the RNG words and the
-  // per-group arrival schedules — until the first arrival fires. Systems
-  // that expose that channel let the campaign layer build the golden run
-  // once, restore its checkpoints into per-job systems, and install each
-  // job's own channel on top.
+  // per-group arrival schedules — until the first arrival fires. The
+  // campaign layer builds the golden run once, restores its checkpoints
+  // into per-job systems, and assigns each job's own channel on top.
 
-  /// Whether this system implements the fault-channel / fingerprint hooks
-  /// below (i.e. whether golden-run checkpoints can seed faulty runs).
-  virtual bool supports_prefix() const { return false; }
+  /// Every system supports prefix sharing.
+  bool supports_prefix() const { return true; }
 
-  /// Serialises / installs the fault channel: RNG words plus the FULL
-  /// per-group arrival schedules (positions, not just the cursor —
-  /// save_state pins only the length because construction re-derives the
-  /// positions, which a golden-configured system cannot).
-  virtual void save_fault_channel(ckpt::Serializer& s) const { (void)s; }
-  virtual void load_fault_channel(ckpt::Deserializer& d) { (void)d; }
+  /// The fault channel: assigning a channel drawn for the same group count
+  /// installs it (prefix sharing); its cursors say whether every arrival has
+  /// fired.
+  engine::FaultChannel& fault_channel() { return channel_; }
+  const engine::FaultChannel& fault_channel() const { return channel_; }
 
-  /// Per-group commit progress: the same watermark arrival consumption is
-  /// keyed on (max retired over the group's cores). Used to pick the
+  /// Per-group commit progress: the watermark arrival consumption is keyed
+  /// on (max retired over the group's registered cores). Used to pick the
   /// latest golden checkpoint that provably precedes a job's first strike.
-  virtual std::vector<SeqNum> group_progress() const { return {}; }
+  std::vector<SeqNum> group_progress() const;
 
-  /// Fingerprintable architectural state: save_policy_state minus the
-  /// fault channel. Two runs with equal fingerprints at the same cycle
-  /// boundary — and no arrivals left to fire — evolve identically from
-  /// there, which is what makes convergence splicing exact.
-  virtual void save_fingerprint_state(ckpt::Serializer& s) const {
-    (void)s;
-  }
-
-  /// ckpt::fingerprint64 over save_fingerprint_state().
+  /// ckpt::fingerprint64 over the policy state with the fault channel (RNG
+  /// words and arrival cursors) left out. Two runs with equal fingerprints
+  /// at the same cycle boundary — and no arrivals left to fire — evolve
+  /// identically from there, which is what makes convergence splicing
+  /// exact.
   std::uint64_t state_fingerprint() const;
+
+  // ---- Group plumbing shared by the systems ------------------------------
+  //
+  // One group per thread; each member is registered core g * members + m.
+  // Systems whose members carry more than a core (UnSync's CBs, the hetero
+  // checker) override what differs.
+
+  std::size_t group_count() const override { return num_threads_; }
+  std::size_t member_count(std::size_t) const override {
+    return cores_per_group_;
+  }
+  bool member_finished(std::size_t g, std::size_t m) const override {
+    return group_core(g, m).done();
+  }
+  void member_tick(std::size_t g, std::size_t m, Cycle now) override {
+    cpu::OooCore& core = group_core(g, m);
+    if (!core.done()) core.tick(now);
+  }
+  Cycle member_next_event(std::size_t g, std::size_t m,
+                          Cycle now) const override {
+    return group_core(g, m).next_event(now);
+  }
+  void member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
+                          Cycle to) override {
+    cpu::OooCore& core = group_core(g, m);
+    if (!core.done()) core.skip_cycles(from, to);
+  }
+  /// The members' bound, vetoed while group g's next arrival is due
+  /// (progress only advances through vetoed commits).
+  Cycle next_event(std::size_t g, Cycle now) const override;
+  /// Pushes every registered core's stats in registration order; systems
+  /// add their own counters after calling it.
+  void finish(RunResult& r) const override;
 
   /// The system's memory hierarchy (every concrete system owns exactly one).
   virtual mem::MemoryHierarchy& memory() = 0;
@@ -187,10 +216,17 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   }
 
  protected:
-  explicit System(unsigned num_threads = 1, bool fast_forward = false,
-                  bool avf = false)
-      : fast_forward_(fast_forward), avf_enabled_(avf),
-        num_threads_(num_threads) {}
+  explicit System(const SystemConfig& config)
+      : fast_forward_(config.fast_forward), avf_enabled_(config.avf),
+        num_threads_(config.num_threads) {}
+
+  /// Constructor-body plumbing every system shares, called before its
+  /// cores are built: one stream per thread (std::invalid_argument
+  /// otherwise), the memory pre-warm, the result identity (name,
+  /// instruction counts) and the fault-channel draw over the thread
+  /// lengths (ser_per_inst = 0 for a system without an error process).
+  void init_groups(const std::vector<const workload::InstStream*>& streams,
+                   std::uint64_t seed, double ser_per_inst);
 
   /// Derived constructors register every core in group-major order (group 0
   /// side 0, group 0 side 1, ..., matching RunResult::core_stats). Wires the
@@ -201,6 +237,29 @@ class System : public engine::SystemPolicy, public engine::SimModel {
 
   /// Metric path prefix of registered core `i` (see register_core).
   std::string core_prefix(std::size_t i) const;
+
+  /// Registered core `m` of group `g`.
+  cpu::OooCore& group_core(std::size_t g, std::size_t m) const {
+    return *registered_cores_[g * cores_per_group_ + m];
+  }
+
+  /// Program progress of group g: its leading core's commit watermark.
+  SeqNum progress(std::size_t g) const;
+
+  /// Consumes group g's next arrival once its progress has reached it.
+  std::optional<SeqNum> take_arrival(std::size_t g) {
+    engine::ArrivalCursor& c = channel_.arrivals[g];
+    if (!c.pending(progress(g))) return std::nullopt;
+    return c.take();
+  }
+
+  /// The fault channel's share of the policy payload: each writer puts the
+  /// RNG words and group g's arrival cursor at fixed places of its layout,
+  /// and state_fingerprint() runs the same writer with both left out.
+  void save_fault_rng(ckpt::Serializer& s) const;
+  void save_arrivals(ckpt::Serializer& s, std::size_t g) const;
+  void load_fault_rng(ckpt::Deserializer& d);
+  void load_arrivals(ckpt::Deserializer& d, std::size_t g);
 
   /// Publishes the standard metric tree for a finished run: per-core
   /// counters/gauges, the memory hierarchy, and the system-level error /
@@ -224,9 +283,12 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   bool avf_enabled() const { return avf_enabled_; }
 
   /// The shared cycle engine: owns the cycle cursor and the accumulated
-  /// result. Derived constructors seed kernel_.result() with the identity
-  /// fields (system name, instruction counts).
+  /// result. init_groups() seeds kernel_.result() with the identity fields
+  /// (system name, instruction counts).
   engine::SimKernel kernel_;
+
+  /// RNG plus per-group arrival cursors, drawn by init_groups().
+  engine::FaultChannel channel_;
 
   /// Event-trace gate shared by the system, its cores and its memory.
   obs::Tracer tracer_;
@@ -242,17 +304,10 @@ class System : public engine::SystemPolicy, public engine::SimModel {
   bool avf_enabled_ = false;
   unsigned num_threads_ = 1;
   std::vector<cpu::OooCore*> registered_cores_;
+  std::size_t cores_per_group_ = 0;
+  /// Set while state_fingerprint() runs the policy writer.
+  mutable bool fingerprinting_ = false;
   std::unique_ptr<fault::AvfCollector> avf_collector_;
 };
-
-namespace detail {
-
-// Hoisted into engine/stream_utils.hpp; the core::detail:: spellings stay.
-using engine::lengths_of;
-using engine::max_length;
-using engine::prewarm_from;
-using engine::replicate;
-
-}  // namespace detail
 
 }  // namespace unsync::core

@@ -1,25 +1,11 @@
 #include "core/unsync_system.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
-#include <stdexcept>
 
 #include "ckpt/serializer.hpp"
-#include "fault/ser.hpp"
 
 namespace unsync::core {
-
-namespace {
-/// Program progress of a redundancy group: the leading core's watermark.
-SeqNum progress_of(const std::vector<std::unique_ptr<cpu::OooCore>>& cores) {
-  SeqNum progress = 0;
-  for (const auto& core : cores) {
-    progress = std::max(progress, core->retired());
-  }
-  return progress;
-}
-}  // namespace
 
 bool UnSyncSystem::CbEnv::on_store_commit(CoreId core,
                                           const workload::DynOp& op,
@@ -41,28 +27,23 @@ UnSyncSystem::UnSyncSystem(const SystemConfig& config,
                            const UnSyncParams& params,
                            const workload::InstStream& stream)
     : UnSyncSystem(config, params,
-                   detail::replicate(stream, config.num_threads)) {}
+                   engine::replicate(stream, config.num_threads)) {}
 
 UnSyncSystem::UnSyncSystem(
     const SystemConfig& config, const UnSyncParams& params,
     const std::vector<const workload::InstStream*>& streams)
-    : System(config.num_threads, config.fast_forward, config.avf),
+    : System(config),
       config_(config),
       params_(params),
       plan_(fault::unsync_plan()),
-      thread_lengths_(detail::lengths_of(streams)),
       memory_([&] {
         // UnSync requires write-through L1s (§III-C.1).
         mem::MemConfig m = config.mem;
         m.l1d.write_policy = mem::WritePolicy::kWriteThrough;
         return m;
-      }(), config.num_threads * params.group_size),
-      rng_(config.seed) {
+      }(), config.num_threads * params.group_size) {
   assert(params_.group_size >= 2 && "redundancy needs at least two cores");
-  if (streams.size() != config_.num_threads) {
-    throw std::invalid_argument("UnSyncSystem: need one stream per thread");
-  }
-  detail::prewarm_from(memory_, streams);
+  init_groups(streams, config.seed, config.ser_per_inst);
   for (unsigned t = 0; t < config_.num_threads; ++t) {
     auto group = std::make_unique<Group>();
     for (unsigned side = 0; side < params_.group_size; ++side) {
@@ -76,35 +57,12 @@ UnSyncSystem::UnSyncSystem(
           group->envs.back().get()));
       register_core(*group->cores.back());
     }
-    group->arrivals.positions = fault::schedule_arrivals(
-        config_.ser_per_inst, thread_lengths_[t], rng_);
     groups_.push_back(std::move(group));
   }
-  RunResult& acc = kernel_.result();
-  acc.system = name_;
-  acc.thread_instructions = thread_lengths_;
-  acc.instructions = detail::max_length(thread_lengths_);
 }
 
 bool UnSyncSystem::member_finished(std::size_t g, std::size_t m) const {
-  const Group& group = *groups_[g];
-  return group.cores[m]->done() && group.cbs[m]->empty();
-}
-
-void UnSyncSystem::member_tick(std::size_t g, std::size_t m, Cycle now) {
-  auto& core = *groups_[g]->cores[m];
-  if (!core.done()) core.tick(now);
-}
-
-Cycle UnSyncSystem::member_next_event(std::size_t g, std::size_t m,
-                                      Cycle now) const {
-  return groups_[g]->cores[m]->next_event(now);
-}
-
-void UnSyncSystem::member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
-                                      Cycle to) {
-  auto& core = *groups_[g]->cores[m];
-  if (!core.done()) core.skip_cycles(from, to);
+  return System::member_finished(g, m) && groups_[g]->cbs[m]->empty();
 }
 
 void UnSyncSystem::sync_phase(std::size_t g, Cycle now) {
@@ -157,11 +115,11 @@ Cycle UnSyncSystem::recovery_cost(const Group& group,
 }
 
 void UnSyncSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
-  Group& group = *groups_[g];
   // An error strikes when program progress (the leading core's commit
   // watermark) crosses the arrival position.
-  if (!group.arrivals.pending(progress_of(group.cores))) return;
-  const SeqNum position = group.arrivals.take();
+  const auto position = take_arrival(g);
+  if (!position) return;
+  Group& group = *groups_[g];
   const auto thread = static_cast<unsigned>(g);
 
   // Any core of the group is equally likely to be struck. Detection is
@@ -170,7 +128,7 @@ void UnSyncSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
   // error-free core ("always forward": laggards are forwarded, a faster
   // erroneous core re-traces).
   const auto n = static_cast<unsigned>(group.cores.size());
-  const unsigned bad = static_cast<unsigned>(rng_.below(n));
+  const unsigned bad = static_cast<unsigned>(channel_.rng.below(n));
   unsigned good = bad == 0 ? 1 : 0;
   for (unsigned side = 0; side < n; ++side) {
     if (side == bad) continue;
@@ -182,9 +140,9 @@ void UnSyncSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
   const Cycle cost = recovery_cost(group, good);
   const Cycle resume_at = now + cost;
   engine::record_error(acc, tracer_,
-                       {.cycle = now, .position = position, .thread = thread,
+                       {.cycle = now, .position = *position, .thread = thread,
                         .struck_core = bad, .cost = cost, .rollback = false},
-                       position);
+                       *position);
 
   // 1-2) Stop every core; flush the erroneous pipeline.
   group.cores[bad]->flush_pipeline();
@@ -199,31 +157,21 @@ void UnSyncSystem::on_error(std::size_t g, Cycle now, RunResult& acc) {
 }
 
 Cycle UnSyncSystem::next_event(std::size_t g, Cycle now) const {
-  const Group& group = *groups_[g];
-  Cycle cand = members_next_event(g, now);
+  const Cycle cand = System::next_event(g, now);
   if (cand <= now) return now;
   // CB drain is ready exactly when every CB is non-empty and the bus is
   // free; a CB only becomes non-empty through a store commit, which is a
   // vetoed core event.
-  bool drainable = true;
-  for (const auto& cb : group.cbs) drainable &= !cb->empty();
-  if (drainable) {
-    if (memory_.bus().free_at(now)) return now;
-    cand = std::min(cand, memory_.bus().next_free());
+  for (const auto& cb : groups_[g]->cbs) {
+    if (cb->empty()) return cand;
   }
-  // Error injection fires when progress has crossed the next arrival;
-  // progress only advances through (vetoed) commits.
-  if (group.arrivals.pending(progress_of(group.cores))) return now;
-  return cand;
+  if (memory_.bus().free_at(now)) return now;
+  return std::min(cand, memory_.bus().next_free());
 }
 
 void UnSyncSystem::finish(RunResult& r) const {
-  for (const auto& group : groups_) {
-    for (const auto& core : group->cores) {
-      r.core_stats.push_back(core->stats());
-    }
-    r.cb_full_stalls += group->cb_full_stalls;
-  }
+  System::finish(r);
+  for (const auto& group : groups_) r.cb_full_stalls += group->cb_full_stalls;
 }
 
 void UnSyncSystem::publish_extra_metrics() {
@@ -251,74 +199,36 @@ void UnSyncSystem::register_avf(fault::AvfCollector& collector) {
 }
 
 void UnSyncSystem::save_policy_state(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
+  save_fault_rng(s);
   memory_.save_state(s);
   s.u64(groups_.size());
-  for (const auto& group : groups_) {
-    s.u64(group->cores.size());
-    for (const auto& core : group->cores) core->save_state(s);
-    for (const auto& cb : group->cbs) cb->save_state(s);
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    const Group& group = *groups_[g];
+    s.u64(group.cores.size());
+    for (const auto& core : group.cores) core->save_state(s);
+    for (const auto& cb : group.cbs) cb->save_state(s);
     // Arrivals are re-derived deterministically at construction from
     // (seed, ser_per_inst, lengths); only the consumption cursor is state.
-    group->arrivals.save_state(s);
-    s.u64(group->cb_full_stalls);
-  }
-}
-
-void UnSyncSystem::save_fault_channel(ckpt::Serializer& s) const {
-  for (const std::uint64_t word : rng_.state()) s.u64(word);
-  s.u64(groups_.size());
-  for (const auto& group : groups_) {
-    engine::save_arrival_schedule(s, group->arrivals);
-  }
-}
-
-void UnSyncSystem::load_fault_channel(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
-  if (d.u64() != groups_.size()) {
-    throw ckpt::CkptError("unsync fault-channel group-count mismatch");
-  }
-  for (const auto& group : groups_) {
-    engine::load_arrival_schedule(d, group->arrivals);
-  }
-}
-
-std::vector<SeqNum> UnSyncSystem::group_progress() const {
-  std::vector<SeqNum> p;
-  p.reserve(groups_.size());
-  for (const auto& group : groups_) p.push_back(progress_of(group->cores));
-  return p;
-}
-
-void UnSyncSystem::save_fingerprint_state(ckpt::Serializer& s) const {
-  memory_.save_state(s);
-  s.u64(groups_.size());
-  for (const auto& group : groups_) {
-    s.u64(group->cores.size());
-    for (const auto& core : group->cores) core->save_state(s);
-    for (const auto& cb : group->cbs) cb->save_state(s);
-    s.u64(group->cb_full_stalls);
+    save_arrivals(s, g);
+    s.u64(group.cb_full_stalls);
   }
 }
 
 void UnSyncSystem::load_policy_state(ckpt::Deserializer& d) {
-  std::array<std::uint64_t, 4> rng_state;
-  for (std::uint64_t& word : rng_state) word = d.u64();
-  rng_.set_state(rng_state);
+  load_fault_rng(d);
   memory_.load_state(d);
   if (d.u64() != groups_.size()) {
     throw ckpt::CkptError("unsync group-count mismatch");
   }
-  for (const auto& group : groups_) {
-    if (d.u64() != group->cores.size()) {
+  for (std::size_t g = 0; g < groups_.size(); ++g) {
+    Group& group = *groups_[g];
+    if (d.u64() != group.cores.size()) {
       throw ckpt::CkptError("unsync group-size mismatch");
     }
-    for (const auto& core : group->cores) core->load_state(d);
-    for (const auto& cb : group->cbs) cb->load_state(d);
-    group->arrivals.load_state(d, "unsync");
-    group->cb_full_stalls = d.u64();
+    for (const auto& core : group.cores) core->load_state(d);
+    for (const auto& cb : group.cbs) cb->load_state(d);
+    load_arrivals(d, g);
+    group.cb_full_stalls = d.u64();
   }
 }
 

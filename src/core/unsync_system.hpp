@@ -22,9 +22,7 @@
 #include <memory>
 #include <vector>
 
-#include "common/rng.hpp"
 #include "core/system.hpp"
-#include "engine/error_injection.hpp"
 #include "fault/protection.hpp"
 #include "mem/hierarchy.hpp"
 #include "mem/write_buffer.hpp"
@@ -78,17 +76,10 @@ class UnSyncSystem final : public System {
   unsigned group_size() const { return params_.group_size; }
 
   // SystemPolicy phases: one group of redundant cores per thread; each
-  // member is one core plus its Communication Buffer.
-  std::size_t group_count() const override { return groups_.size(); }
-  std::size_t member_count(std::size_t g) const override {
-    return groups_[g]->cores.size();
-  }
+  // member is one core plus its Communication Buffer, so a member is
+  // finished only once its CB has drained too. The other member phases are
+  // System's defaults.
   bool member_finished(std::size_t g, std::size_t m) const override;
-  void member_tick(std::size_t g, std::size_t m, Cycle now) override;
-  Cycle member_next_event(std::size_t g, std::size_t m,
-                          Cycle now) const override;
-  void member_skip_cycles(std::size_t g, std::size_t m, Cycle from,
-                          Cycle to) override;
   void sync_phase(std::size_t g, Cycle now) override;
   void on_error(std::size_t g, Cycle now, RunResult& acc) override;
   Cycle next_event(std::size_t g, Cycle now) const override;
@@ -97,14 +88,6 @@ class UnSyncSystem final : public System {
   const char* ckpt_tag() const override { return "UNSY"; }
   void save_policy_state(ckpt::Serializer& s) const override;
   void load_policy_state(ckpt::Deserializer& d) override;
-
-  // Prefix-sharing hooks: RNG + per-group arrival schedules are the fault
-  // channel; the fingerprint is the policy state with that channel removed.
-  bool supports_prefix() const override { return true; }
-  void save_fault_channel(ckpt::Serializer& s) const override;
-  void load_fault_channel(ckpt::Deserializer& d) override;
-  std::vector<SeqNum> group_progress() const override;
-  void save_fingerprint_state(ckpt::Serializer& s) const override;
 
  protected:
   void publish_extra_metrics() override;
@@ -133,7 +116,6 @@ class UnSyncSystem final : public System {
     std::vector<std::unique_ptr<cpu::OooCore>> cores;
     std::vector<std::unique_ptr<CbEnv>> envs;
     std::vector<std::unique_ptr<mem::WriteBuffer>> cbs;
-    engine::ArrivalCursor arrivals;
     std::uint64_t cb_full_stalls = 0;
   };
 
@@ -143,9 +125,7 @@ class UnSyncSystem final : public System {
   SystemConfig config_;
   UnSyncParams params_;
   fault::ProtectionPlan plan_;
-  std::vector<std::uint64_t> thread_lengths_;
   mem::MemoryHierarchy memory_;
-  Rng rng_;
   std::vector<std::unique_ptr<Group>> groups_;
 };
 

@@ -4,9 +4,9 @@
 // same way: an error "strikes" when program progress (the leading core's
 // commit watermark) crosses the next scheduled position, and handling it
 // bumps the same RunResult counters and emits the same trace pair
-// (kErrorInjection + kRecovery/kRollback). ArrivalCursor and record_error
-// hoist that pattern out of the per-system duplicates; the systems keep
-// only what genuinely differs — recovery-cost models and core
+// (kErrorInjection + kRecovery/kRollback). FaultChannel, ArrivalCursor and
+// record_error hoist that pattern out of the per-system duplicates; the
+// systems keep only what genuinely differs — recovery-cost models and core
 // forward/rollback mechanics.
 #pragma once
 
@@ -15,8 +15,10 @@
 #include <vector>
 
 #include "ckpt/serializer.hpp"
+#include "common/rng.hpp"
 #include "common/types.hpp"
 #include "engine/run_result.hpp"
+#include "fault/ser.hpp"
 #include "obs/trace.hpp"
 
 namespace unsync::engine {
@@ -36,6 +38,8 @@ struct ArrivalCursor {
   /// Consumes and returns the next arrival position.
   SeqNum take() { return positions[next++]; }
 
+  bool operator==(const ArrivalCursor&) const = default;
+
   void save_state(ckpt::Serializer& s) const {
     s.u64(positions.size());
     s.u64(next);
@@ -51,27 +55,51 @@ struct ArrivalCursor {
   }
 };
 
-/// Full-schedule serialisation for the prefix-sharing fault channel. Unlike
-/// ArrivalCursor::save_state (which pins only the schedule length plus the
-/// cursor, because construction re-derives the positions), this round-trips
-/// the positions themselves — so a schedule sampled under one configuration
-/// can be installed into a system constructed with a *different* (golden,
-/// ser=0) configuration whose own schedule is empty.
-inline void save_arrival_schedule(ckpt::Serializer& s,
-                                  const ArrivalCursor& c) {
-  s.u64(c.positions.size());
-  for (const SeqNum p : c.positions) s.u64(p);
-  s.u64(c.next);
-}
+/// A system's whole fault channel: the RNG that draws every random choice
+/// of the error process plus one arrival cursor per redundancy group. A
+/// faulty run differs from its ser=0 golden twin only here until the first
+/// arrival fires, so the prefix engine installs a job's channel into a
+/// golden-configured system by plain assignment. In-process state only: the
+/// checkpoint payload carries the RNG words and each cursor, never the
+/// positions, which draw() re-derives.
+struct FaultChannel {
+  Rng rng;
+  std::vector<ArrivalCursor> arrivals;  ///< one per group
 
-inline void load_arrival_schedule(ckpt::Deserializer& d, ArrivalCursor& c) {
-  c.positions.resize(d.u64());
-  for (SeqNum& p : c.positions) p = d.u64();
-  c.next = d.u64();
-  if (c.next > c.positions.size()) {
-    throw ckpt::CkptError("arrival-schedule cursor out of range");
+  /// Seeds the RNG with `seed` and draws group g's schedule over
+  /// `lengths[g]` instructions, in group order. Every system, the prefix
+  /// engine and the interval model draw through here, so equal inputs give
+  /// equal schedules and leave equal RNG words behind.
+  void draw(std::uint64_t seed, double ser_per_inst,
+            const std::vector<std::uint64_t>& lengths) {
+    rng = Rng(seed);
+    arrivals.assign(lengths.size(), {});
+    for (std::size_t g = 0; g < lengths.size(); ++g) {
+      arrivals[g].positions =
+          fault::schedule_arrivals(ser_per_inst, lengths[g], rng);
+    }
   }
-}
+
+  /// True when no group has any arrival at all.
+  bool empty() const {
+    for (const ArrivalCursor& c : arrivals) {
+      if (!c.positions.empty()) return false;
+    }
+    return true;
+  }
+
+  /// True once every scheduled arrival has fired.
+  bool exhausted() const {
+    for (const ArrivalCursor& c : arrivals) {
+      if (c.next < c.positions.size()) return false;
+    }
+    return true;
+  }
+
+  bool operator==(const FaultChannel& o) const {
+    return rng.state() == o.rng.state() && arrivals == o.arrivals;
+  }
+};
 
 /// Applies the common accounting for one handled error: result counters
 /// (recoveries vs rollbacks keyed on e.rollback), the chronological error

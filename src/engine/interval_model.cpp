@@ -4,9 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/rng.hpp"
 #include "cpu/bpred.hpp"
-#include "fault/ser.hpp"
+#include "engine/error_injection.hpp"
 #include "obs/metrics.hpp"
 
 namespace unsync::engine {
@@ -127,18 +126,13 @@ RunResult IntervalModel::estimate(Cycle max_cycles) {
   r.thread_instructions = lengths;
   r.instructions = *std::max_element(lengths.begin(), lengths.end());
 
-  // Arrival schedules: drawn per thread in construction order from an RNG
-  // seeded exactly like the detailed tier's, so positions (and therefore
-  // errors_injected) match the cycle-accurate run bit for bit. Struck-core
+  // Arrival schedules: the detailed tier's own FaultChannel draw, so
+  // positions (and therefore errors_injected) match the cycle-accurate run
+  // bit for bit. Struck-core
   // draws follow afterwards and are NOT order-identical to the detailed
   // tier (it interleaves them in cycle order) — documented approximate.
-  Rng rng(seed_);
-  std::vector<std::vector<SeqNum>> arrivals(streams_.size());
-  if (spec_.inject_errors) {
-    for (std::size_t t = 0; t < streams_.size(); ++t) {
-      arrivals[t] = fault::schedule_arrivals(ser_per_inst_, lengths[t], rng);
-    }
-  }
+  FaultChannel channel;
+  channel.draw(seed_, spec_.inject_errors ? ser_per_inst_ : 0.0, lengths);
 
   // The shared L2 filter sees every thread's misses; pre-warmed with each
   // workload's declared working set, matching the detailed tier's warm-up.
@@ -164,7 +158,7 @@ RunResult IntervalModel::estimate(Cycle max_cycles) {
     cpu::CoreStats stats;
     double cycles = 0.0;
     std::uint64_t ops_done = 0;
-    std::size_t next_arrival = 0;
+    ArrivalCursor& arrivals = channel.arrivals[t];
 
     const auto close_interval = [&] {
       if (iv.ops == 0) return;
@@ -265,13 +259,12 @@ RunResult IntervalModel::estimate(Cycle max_cycles) {
       }
 
       // Error arrivals strike when committed progress crosses the next
-      // scheduled position — the same consumption rule as ArrivalCursor.
-      while (next_arrival < arrivals[t].size() &&
-             ops_done >= arrivals[t][next_arrival]) {
+      // scheduled position — the detailed tier's ArrivalCursor rule.
+      while (arrivals.pending(ops_done)) {
         close_interval();
-        const SeqNum position = arrivals[t][next_arrival++];
+        const SeqNum position = arrivals.take();
         const auto struck = static_cast<unsigned>(
-            spec_.group_size > 1 ? rng.below(spec_.group_size) : 0);
+            spec_.group_size > 1 ? channel.rng.below(spec_.group_size) : 0);
         Cycle cost = spec_.error_penalty;
         double charged = 0.0;
         if (spec_.error_rollback) {

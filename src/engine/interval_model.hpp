@@ -12,8 +12,8 @@
 // load checking, Reunion serializing syncs, DMR checkpoint captures).
 //
 // Fault handling consumes the SAME arrival schedule as the detailed tier —
-// fault::schedule_arrivals seeded identically, drawn per thread in
-// construction order — so errors_injected and every arrival position match
+// one engine::FaultChannel::draw with the same seed and thread lengths —
+// so errors_injected and every arrival position match
 // the cycle-accurate run EXACTLY; only the error's timing/cost fields are
 // approximate. Recovery charges the architecture's penalty (plus, for
 // rollback schemes, re-execution of roughly half the rollback window at the

@@ -21,7 +21,7 @@
 //     a later run() ignores it and re-estimates the full program.
 //   - Results from different tiers for the same cell agree exactly on
 //     workload identity (instructions, thread_instructions) and on
-//     errors_injected (both draw arrivals from fault::schedule_arrivals with
+//     errors_injected (both draw arrivals through engine::FaultChannel with
 //     the same seed); cycles/CPI and recovery-cost metrics are approximate
 //     on the fast tier, with per-benchmark bounds (docs/TIERS.md).
 #pragma once

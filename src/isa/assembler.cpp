@@ -105,6 +105,7 @@ Program Assembler::assemble(const std::string& source) {
   std::map<std::string, std::size_t> code_labels;   // label -> inst index
   std::map<std::string, std::uint64_t> data_labels; // label -> data offset
   std::vector<PendingLabelRef> fixups;
+  std::map<std::string, int> label_lines;  // label -> defining line
 
   std::istringstream in(source);
   std::string raw;
@@ -141,6 +142,11 @@ Program Assembler::assemble(const std::string& source) {
         throw AsmError{lineno, "malformed label '" + head + "'"};
       }
       if (head.empty()) throw AsmError{lineno, "empty label"};
+      if (const auto [it, fresh] = label_lines.emplace(head, lineno); !fresh) {
+        throw AsmError{lineno, "duplicate label '" + head +
+                                   "' (first defined on line " +
+                                   std::to_string(it->second) + ")"};
+      }
       pending_labels.push_back(head);
       line = strip(line.substr(colon + 1));
       if (line.empty()) break;

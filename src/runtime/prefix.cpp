@@ -5,9 +5,7 @@
 #include <utility>
 
 #include "ckpt/serializer.hpp"
-#include "common/rng.hpp"
 #include "core/factory.hpp"
-#include "fault/ser.hpp"
 #include "runtime/campaign_journal.hpp"
 
 namespace unsync::runtime {
@@ -26,8 +24,8 @@ std::uint64_t* stats_fields(PrefixStats& s, std::size_t i) {
 }
 
 /// Per-thread stream length of a job — what construction hands to
-/// fault::schedule_arrivals. Every thread replays a clone of the same
-/// stream, so all groups share one length.
+/// FaultChannel::draw. Every thread replays a clone of the same stream, so
+/// all groups share one length.
 std::uint64_t job_stream_length(const SimJob& job) {
   if (!job.profile.empty()) return job.insts;
   return job.trace ? job.trace->size() : 0;
@@ -47,38 +45,20 @@ bool eligible(const SimJob& job) {
   return job.params.tier == engine::Tier::kDetailed;
 }
 
-/// True once every group's arrival cursor is exhausted, read back through
-/// the system's own fault-channel serialisation (the cursor is not
-/// otherwise observable from outside).
-bool channel_exhausted(const core::System& sys) {
-  ckpt::Serializer s;
-  sys.save_fault_channel(s);
-  ckpt::Deserializer d(s.take());
-  if (d.at_end()) return true;  // no error process at all
-  for (int i = 0; i < 4; ++i) d.u64();
-  const std::uint64_t groups = d.u64();
-  for (std::uint64_t g = 0; g < groups; ++g) {
-    const std::uint64_t npos = d.u64();
-    for (std::uint64_t p = 0; p < npos; ++p) d.u64();
-    if (d.u64() != npos) return false;
-  }
-  return true;
-}
-
 /// Latest golden checkpoint that provably precedes every group's first
 /// arrival: safe iff no group's commit watermark has reached its first
 /// strike position (arrivals fire when progress >= position, so equality
 /// already means "fired"). nullptr when even the first boundary is too
 /// late.
-const GoldenTrace::Snap* latest_safe_snap(const GoldenTrace& golden,
-                                          const FaultChannel& channel) {
+const GoldenTrace::Snap* latest_safe_snap(
+    const GoldenTrace& golden, const engine::FaultChannel& channel) {
   for (auto it = golden.snaps.rbegin(); it != golden.snaps.rend(); ++it) {
     const GoldenTrace::Snap& snap = *it;
-    if (snap.progress.size() != channel.schedules.size()) return nullptr;
+    if (snap.progress.size() != channel.arrivals.size()) return nullptr;
     bool safe = true;
-    for (std::size_t g = 0; g < channel.schedules.size() && safe; ++g) {
-      safe = channel.schedules[g].empty() ||
-             snap.progress[g] < channel.schedules[g].front();
+    for (std::size_t g = 0; g < channel.arrivals.size() && safe; ++g) {
+      const std::vector<SeqNum>& positions = channel.arrivals[g].positions;
+      safe = positions.empty() || snap.progress[g] < positions.front();
     }
     if (safe) return &snap;
   }
@@ -155,36 +135,13 @@ const std::uint64_t* GoldenTrace::fingerprint_at(Cycle boundary) const {
   return &fingerprints[static_cast<std::size_t>(k - 1)];
 }
 
-FaultChannel compute_fault_channel(const SimJob& job, std::uint64_t seed) {
-  FaultChannel ch;
-  if (job.system == core::SystemKind::kBaseline) {
-    // The baseline has no error process: empty channel, empty wire bytes
-    // (its load_fault_channel is a no-op).
-    ch.schedules.assign(job.app_threads, {});
-    return ch;
-  }
-  // Exactly the construction-time draw sequence of every redundant system:
-  // one RNG seeded with the job seed, one schedule_arrivals call per
-  // thread, in thread order.
-  Rng rng(seed);
-  const std::uint64_t len = job_stream_length(job);
-  ch.schedules.reserve(job.app_threads);
-  for (unsigned t = 0; t < job.app_threads; ++t) {
-    ch.schedules.push_back(
-        fault::schedule_arrivals(job.ser_per_inst, len, rng));
-  }
-  ch.rng_words = rng.state();
-  ch.has_rng = true;
-
-  ckpt::Serializer s;
-  for (const std::uint64_t word : ch.rng_words) s.u64(word);
-  s.u64(ch.schedules.size());
-  for (const auto& sched : ch.schedules) {
-    s.u64(sched.size());
-    for (const SeqNum p : sched) s.u64(p);
-    s.u64(0);  // cursor: nothing fired yet
-  }
-  ch.encoded = s.take();
+engine::FaultChannel compute_fault_channel(const SimJob& job,
+                                           std::uint64_t seed) {
+  const double ser =
+      job.system == core::SystemKind::kBaseline ? 0.0 : job.ser_per_inst;
+  engine::FaultChannel ch;
+  ch.draw(seed, ser,
+          std::vector<std::uint64_t>(job.app_threads, job_stream_length(job)));
   return ch;
 }
 
@@ -258,10 +215,10 @@ std::vector<std::size_t> PrefixEngine::schedule_order(
     const std::uint64_t seed = job_seed(jobs, campaign_seed, i);
     k.golden = golden_job_key(jobs[i], seed);
     if (eligible(jobs[i])) {
-      const FaultChannel ch = compute_fault_channel(jobs[i], seed);
+      const engine::FaultChannel ch = compute_fault_channel(jobs[i], seed);
       SeqNum first = kNoSeq;
-      for (const auto& sched : ch.schedules) {
-        if (!sched.empty()) first = std::min(first, sched.front());
+      for (const engine::ArrivalCursor& c : ch.arrivals) {
+        if (!c.positions.empty()) first = std::min(first, c.positions.front());
       }
       // Arrival-free jobs sort first within their group: they splice off
       // the golden result directly, so running one early builds the golden
@@ -292,7 +249,7 @@ std::shared_ptr<const GoldenTrace> PrefixEngine::build_golden(
   const auto model = core::make_model(
       gjob.system, job_system_config(gjob, seed), *stream, gjob.params);
   auto* sys = dynamic_cast<core::System*>(model.get());
-  if (!sys || !sys->supports_prefix()) return nullptr;
+  if (!sys) return nullptr;
 
   auto trace = std::make_shared<GoldenTrace>();
   trace->interval = options_.interval;
@@ -423,7 +380,7 @@ core::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
     }
     return CampaignRunner::run_job(job, seed);
   }
-  const FaultChannel channel = compute_fault_channel(job, seed);
+  engine::FaultChannel channel = compute_fault_channel(job, seed);
   const std::shared_ptr<const GoldenTrace> golden = acquire_golden(job, seed);
   if (!golden) {
     {
@@ -464,13 +421,7 @@ core::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
     stats_.restore_ns += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count());
   }
-  {
-    ckpt::Deserializer d(channel.encoded);
-    sys->load_fault_channel(d);
-    if (!d.at_end()) {
-      throw ckpt::CkptError("trailing bytes after fault channel");
-    }
-  }
+  sys->fault_channel() = std::move(channel);
 
   const Cycle last_golden_boundary =
       static_cast<Cycle>(golden->fingerprints.size()) * options_.interval;
@@ -483,7 +434,7 @@ core::RunResult PrefixEngine::run_job(const SimJob& job, std::uint64_t seed) {
       // beyond the golden finish): no splice possible any more.
       return sys->run();
     }
-    if (!channel_exhausted(*sys)) continue;
+    if (!sys->fault_channel().exhausted()) continue;
     const std::uint64_t* gfp = golden->fingerprint_at(boundary);
     if (gfp != nullptr && *gfp == sys->state_fingerprint()) {
       const std::lock_guard<std::mutex> lock(mu_);

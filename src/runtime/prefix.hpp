@@ -11,11 +11,11 @@
 //    (System::save_checkpoint_bytes — the buffer-backed container path, no
 //    temp-file round trip) plus a per-interval architectural-state
 //    fingerprint stream (System::state_fingerprint).
-//  * Each injection job computes its fault channel out of band (the same
-//    fault::schedule_arrivals draw sequence construction performs),
-//    restores from the latest golden checkpoint that provably precedes its
-//    first arrival, installs its own channel (System::load_fault_channel),
-//    and runs forward.
+//  * Each injection job draws its fault channel out of band (the same
+//    engine::FaultChannel::draw construction performs), restores from the
+//    latest golden checkpoint that provably precedes its first arrival,
+//    installs its own channel by assignment (System::fault_channel), and
+//    runs forward.
 //  * Convergence-based early termination: once a job's arrivals are
 //    exhausted, its per-interval fingerprint is compared against the golden
 //    stream — on match the outcome is provably masked, and the job finishes
@@ -29,7 +29,6 @@
 // campaign (enforced by parity tests and the bench_injection_prefix gate).
 #pragma once
 
-#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <list>
@@ -76,26 +75,6 @@ struct PrefixStats {
   static std::optional<PrefixStats> decode(std::string blob);
 };
 
-/// One job's fault channel, computed without constructing a system: the
-/// per-group arrival schedules plus the RNG state construction leaves
-/// behind. Bit-identical to what System::save_fault_channel serialises for
-/// a freshly built system of the same cell (pinned by test_prefix).
-struct FaultChannel {
-  std::vector<std::vector<SeqNum>> schedules;  ///< per group, ascending
-  std::array<std::uint64_t, 4> rng_words{};
-  bool has_rng = false;  ///< false for systems without an error process
-  std::string encoded;   ///< load_fault_channel wire bytes
-
-  /// True when no group has any arrival — the job is provably identical
-  /// to the golden run, end to end.
-  bool empty() const {
-    for (const auto& s : schedules) {
-      if (!s.empty()) return false;
-    }
-    return true;
-  }
-};
-
 /// The per-interval record of one golden (fault-free) run.
 struct GoldenTrace {
   struct Snap {
@@ -119,8 +98,12 @@ struct GoldenTrace {
   const std::uint64_t* fingerprint_at(Cycle boundary) const;
 };
 
-/// Computes a job's fault channel out of band (see FaultChannel).
-FaultChannel compute_fault_channel(const SimJob& job, std::uint64_t seed);
+/// Draws a job's fault channel without constructing a system: equal to
+/// the channel a freshly built system of the same cell holds (pinned by
+/// test_prefix). The baseline has no error process, so its channel is
+/// empty whatever the job's ser.
+engine::FaultChannel compute_fault_channel(const SimJob& job,
+                                           std::uint64_t seed);
 
 /// Cache key of the golden run `job` shares: the job identity minus the
 /// fault channel (ser zeroed, label dropped, and — for trace workloads,

@@ -169,6 +169,23 @@ TEST(Assembler, ErrorCarriesLineNumber) {
   }
 }
 
+TEST(Assembler, DuplicateLabelThrowsNamingTheFirstDefinition) {
+  // A second definition would silently rebind every branch to it.
+  for (const char* src : {"loop: nop\nloop: halt",
+                          "loop:\nnop\nbuf: .word 1\nloop: .word 2"}) {
+    try {
+      Assembler::assemble(src);
+      FAIL() << "expected AsmError for:\n" << src;
+    } catch (const AsmError& e) {
+      EXPECT_NE(e.what().find("duplicate label 'loop'"), std::string::npos)
+          << e.what();
+      EXPECT_NE(e.what().find("first defined on line 1"), std::string::npos)
+          << e.what();
+      EXPECT_GT(e.line, 1);
+    }
+  }
+}
+
 TEST(Assembler, LabelOnSameLineAsInstruction) {
   const auto prog = Assembler::assemble(R"(
   start: addi r1, r0, 1

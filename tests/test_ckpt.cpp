@@ -21,6 +21,7 @@
 #include "core/factory.hpp"
 #include "core/system.hpp"
 #include "cpu/ooo_core.hpp"
+#include "fault/ser.hpp"
 #include "mem/hierarchy.hpp"
 #include "mem/write_buffer.hpp"
 #include "obs/metrics.hpp"
@@ -595,6 +596,107 @@ TEST_P(CkptWirePin, CheckpointBytesMatchThePin) {
 INSTANTIATE_TEST_SUITE_P(
     AllSystems, CkptWirePin, ::testing::ValuesIn(kCkptPins),
     [](const auto& info) { return std::string(core::name_of(info.param.kind)); });
+
+// ---- Architectural-state fingerprints ---------------------------------------
+//
+// The prefix engine splices a converged job onto its golden run when their
+// state_fingerprint() values match, so the fingerprint is as much a contract
+// as the checkpoint bytes: the same cell as CkptWirePin, pinned per system.
+
+struct FingerprintPinValue {
+  core::SystemKind kind;
+  std::uint64_t fingerprint;
+};
+
+constexpr FingerprintPinValue kFingerprintPins[] = {
+    {core::SystemKind::kBaseline, 0x54093cdebbe9f6e9ull},
+    {core::SystemKind::kUnSync, 0xa559691a44061ce9ull},
+    {core::SystemKind::kReunion, 0x0b14ddcf332e7892ull},
+    {core::SystemKind::kLockstep, 0x0461fd883321292aull},
+    {core::SystemKind::kCheckpoint, 0xccc9ce7f3023d818ull},
+    {core::SystemKind::kHetero, 0xe4097252a3c76376ull},
+};
+
+class FingerprintPin : public ::testing::TestWithParam<FingerprintPinValue> {};
+
+TEST_P(FingerprintPin, StateFingerprintMatchesThePin) {
+  const FingerprintPinValue& pin = GetParam();
+  core::SystemConfig cfg;
+  cfg.num_threads = 2;
+  cfg.ser_per_inst = 2e-5;
+  cfg.seed = 99;
+  workload::SyntheticStream stream(workload::profile("gzip"), cfg.seed, 4000);
+  auto sys = core::make_system(pin.kind, cfg, stream);
+  sys->run(2500);
+  EXPECT_EQ(sys->state_fingerprint(), pin.fingerprint)
+      << std::hex << "0x" << sys->state_fingerprint();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSystems, FingerprintPin, ::testing::ValuesIn(kFingerprintPins),
+    [](const auto& info) { return std::string(core::name_of(info.param.kind)); });
+
+// A faulty run differs from its ser=0 twin only in the fault channel until
+// the first arrival fires, and the fingerprint leaves the channel out: the
+// two fingerprints agree at every boundary before that arrival. One more
+// tick moves the state, so the fingerprint is not blind to progress.
+class FingerprintProperty
+    : public ::testing::TestWithParam<core::SystemKind> {};
+
+TEST_P(FingerprintProperty, FaultFreeTwinMatchesUntilTheFirstArrival) {
+  const core::SystemKind kind = GetParam();
+  constexpr std::uint64_t kInsts = 3000;
+  core::SystemConfig cfg;
+  cfg.num_threads = 2;
+  cfg.seed = 5;
+  workload::SyntheticStream stream(workload::profile("gzip"), cfg.seed,
+                                   kInsts);
+  core::SystemConfig faulty_cfg = cfg;
+  faulty_cfg.ser_per_inst = 1e-3;
+  auto golden = core::make_system(kind, cfg, stream);
+  auto faulty = core::make_system(kind, faulty_cfg, stream);
+
+  // The faulty system's earliest strike: construction draws one schedule
+  // per thread, in thread order, from an RNG seeded with the config seed.
+  Rng rng(faulty_cfg.seed);
+  SeqNum first = kNoSeq;
+  for (unsigned t = 0; t < faulty_cfg.num_threads; ++t) {
+    const auto s =
+        fault::schedule_arrivals(faulty_cfg.ser_per_inst, kInsts, rng);
+    if (!s.empty()) first = std::min(first, s.front());
+  }
+  ASSERT_NE(first, kNoSeq);  // ~3 strikes expected per thread
+
+  const auto reached_first = [&] {
+    for (const SeqNum p : faulty->group_progress()) {
+      if (p >= first) return true;
+    }
+    return false;
+  };
+  unsigned compared = 0;
+  for (Cycle c = 50;; c += 50) {
+    const core::RunResult g = golden->run(c);
+    faulty->run(c);
+    if (g.cycles < c || reached_first()) break;
+    ASSERT_EQ(golden->state_fingerprint(), faulty->state_fingerprint())
+        << "cycle " << c;
+    ++compared;
+    const std::uint64_t before = faulty->state_fingerprint();
+    faulty->run(c + 1);
+    golden->run(c + 1);
+    if (!reached_first()) {
+      EXPECT_NE(faulty->state_fingerprint(), before) << "cycle " << c + 1;
+    }
+  }
+  EXPECT_GT(compared, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSystems, FingerprintProperty,
+    ::testing::Values(core::SystemKind::kBaseline, core::SystemKind::kUnSync,
+                      core::SystemKind::kReunion, core::SystemKind::kLockstep,
+                      core::SystemKind::kCheckpoint, core::SystemKind::kHetero),
+    [](const auto& info) { return std::string(core::name_of(info.param)); });
 
 TEST(SystemCkptMismatch, RejectsCheckpointFromAnotherSystemKind) {
   core::SystemConfig cfg;

@@ -93,7 +93,7 @@ TEST(PrefixFaultChannel, MatchesFreshlyConstructedSystems) {
   for (const auto kind :
        {runtime::SystemKind::kBaseline, runtime::SystemKind::kUnSync,
         runtime::SystemKind::kReunion, runtime::SystemKind::kLockstep,
-        runtime::SystemKind::kCheckpoint}) {
+        runtime::SystemKind::kCheckpoint, runtime::SystemKind::kHetero}) {
     SimJob job;
     job.label = "chan";
     job.trace = trace;
@@ -109,44 +109,46 @@ TEST(PrefixFaultChannel, MatchesFreshlyConstructedSystems) {
                          job.params);
     auto* sys = dynamic_cast<core::System*>(model.get());
     ASSERT_NE(sys, nullptr) << name_of(kind);
-    ckpt::Serializer s;
-    sys->save_fault_channel(s);
-    EXPECT_EQ(s.take(), channel.encoded) << name_of(kind);
-    if (kind == runtime::SystemKind::kBaseline) {
-      EXPECT_TRUE(channel.empty());
-      EXPECT_FALSE(channel.has_rng);
-    } else {
-      EXPECT_TRUE(channel.has_rng);
-      EXPECT_FALSE(channel.empty());  // 4e-4 over 1200 insts x 2 threads
-    }
+    EXPECT_TRUE(sys->fault_channel() == channel) << name_of(kind);
+    EXPECT_EQ(channel.arrivals.size(), job.app_threads) << name_of(kind);
+    // 4e-4 over 1200 insts x 2 threads; the baseline has no error process.
+    EXPECT_EQ(channel.empty(), kind == runtime::SystemKind::kBaseline)
+        << name_of(kind);
   }
 }
 
 TEST(PrefixFaultChannel, InstallingTheChannelReproducesTheFaultyRun) {
-  // A golden-configured system + load_fault_channel must equal a system
-  // constructed with the fault process on — the core restore identity.
+  // A golden-configured system with the job's channel assigned must equal a
+  // system constructed with the fault process on — the core restore
+  // identity. At 3e-4 this seed draws no arrival at all; 2e-3 draws
+  // several, so the second cell exercises recovery after the install.
   const auto trace = shared_trace(1500);
-  SimJob job;
-  job.label = "install";
-  job.trace = trace;
-  job.system = runtime::SystemKind::kUnSync;
-  job.ser_per_inst = 3e-4;
-  const std::uint64_t seed = 4242;
-  const auto direct = CampaignRunner::run_job(job, seed);
+  for (const double ser : {3e-4, 2e-3}) {
+    SimJob job;
+    job.label = "install";
+    job.trace = trace;
+    job.system = runtime::SystemKind::kUnSync;
+    job.ser_per_inst = ser;
+    const std::uint64_t seed = 4242;
+    const auto direct = CampaignRunner::run_job(job, seed);
 
-  SimJob gjob = job;
-  gjob.ser_per_inst = 0.0;
-  const auto stream = runtime::make_job_stream(gjob, seed);
-  const auto model = core::make_model(gjob.system,
-                                      runtime::job_system_config(gjob, seed),
-                                      *stream, gjob.params);
-  auto* sys = dynamic_cast<core::System*>(model.get());
-  ASSERT_NE(sys, nullptr);
-  const auto channel = runtime::compute_fault_channel(job, seed);
-  ckpt::Deserializer d(channel.encoded);
-  sys->load_fault_channel(d);
-  EXPECT_TRUE(d.at_end());
-  EXPECT_EQ(sys->run().to_json(), direct.to_json());
+    SimJob gjob = job;
+    gjob.ser_per_inst = 0.0;
+    const auto stream = runtime::make_job_stream(gjob, seed);
+    const auto model = core::make_model(
+        gjob.system, runtime::job_system_config(gjob, seed), *stream,
+        gjob.params);
+    auto* sys = dynamic_cast<core::System*>(model.get());
+    ASSERT_NE(sys, nullptr);
+    EXPECT_TRUE(sys->fault_channel().empty());
+    sys->fault_channel() = runtime::compute_fault_channel(job, seed);
+    EXPECT_EQ(sys->fault_channel().empty(), direct.errors_injected == 0);
+    EXPECT_EQ(sys->run().to_json(), direct.to_json()) << "ser " << ser;
+    EXPECT_TRUE(sys->fault_channel().exhausted());
+    if (ser > 1e-3) {
+      EXPECT_GT(direct.errors_injected, 0u);
+    }
+  }
 }
 
 TEST(PrefixGoldenKey, SharesTrialsAndSerPointsOfATraceCell) {
