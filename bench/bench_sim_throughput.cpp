@@ -6,7 +6,7 @@
 // cycle-engine bench report (bench_util.hpp) from each benchmark's median
 // items_per_second over its repetitions; CI runs
 //     bench_sim_throughput
-//         --benchmark_filter='BM_CycleEngine|BM_SyntheticStream$'
+//         --benchmark_filter='BM_CycleEngine|BM_HostSpeed$'
 //         --benchmark_repetitions=5
 //         --benchmark_enable_random_interleaving=true json=BENCH_sim.json
 // and gates it against bench/BENCH_baseline.json (docs/ENGINE.md).
@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iostream>
 #include <map>
 #include <string>
@@ -44,6 +45,41 @@ void BM_SyntheticStream(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SyntheticStream);
+
+// Frozen host-speed kernel: the divisor that turns BM_CycleEngine's
+// cycles/s into a host-independent throughput (gate 2 in main). It calls
+// no simulator code, so no change to the simulator moves it, and its body
+// must never change: every throughput `ref` in bench/BENCH_baseline.json
+// was recorded against it. The mix is the simulator's kind of work: a
+// xorshift hash, a serial chain of loads and stores into a 256 KiB table
+// (L2-resident), and a data-dependent branch that mispredicts half the
+// time. One item is one step.
+void BM_HostSpeed(benchmark::State& state) {
+  constexpr std::size_t kWords = 32768;
+  constexpr int kSteps = 64;
+  std::vector<std::uint64_t> table(kWords);
+  for (std::size_t i = 0; i < kWords; ++i) {
+    table[i] = i * 0x9e3779b97f4a7c15ULL;
+  }
+  std::uint64_t x = 1, acc = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < kSteps; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      std::uint64_t& w = table[(x ^ acc) & (kWords - 1)];
+      if (w & 1) {
+        acc += w * 0xff51afd7ed558ccdULL;
+      } else {
+        acc ^= w >> 3;
+      }
+      w = acc ^ x;
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() * kSteps);
+}
+BENCHMARK(BM_HostSpeed);
 
 void BM_CacheAccess(benchmark::State& state) {
   mem::Cache cache(mem::CacheConfig{});
@@ -202,10 +238,12 @@ int main(int argc, char** argv) {
       report.metric("ff_speedup/baseline", ratio);
     }
   }
-  // Gate 2: cycles/sec normalised by the calibration stream from the same
-  // run, which divides out raw host speed. Without the calibration the
-  // throughput metrics are absent, and the gate fails them as missing.
-  const auto cal = med.find("BM_SyntheticStream");
+  // Gate 2: cycles/sec normalised by the frozen host-speed kernel from the
+  // same run, which divides out raw host speed. The divisor is no simulator
+  // code, so a faster stream or core raises the throughputs rather than the
+  // divisor. Without it the throughput metrics are absent, and the gate
+  // fails them as missing.
+  const auto cal = med.find("BM_HostSpeed");
   if (cal != med.end() && cal->second > 0) {
     report.metric("calibration", cal->second);
     for (const auto& [name, ips] : med) {

@@ -6,10 +6,6 @@
 namespace unsync {
 namespace {
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 std::uint64_t splitmix64(std::uint64_t& x) {
   x += 0x9e3779b97f4a7c15ULL;
   std::uint64_t z = x;
@@ -25,40 +21,6 @@ void Rng::reseed(std::uint64_t seed) {
   for (auto& s : s_) s = splitmix64(x);
   // A theoretically possible all-zero state would lock the generator at 0.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
-}
-
-std::uint64_t Rng::next() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::uniform() {
-  // 53 high bits -> double in [0,1).
-  return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-std::uint64_t Rng::below(std::uint64_t bound) {
-  assert(bound > 0);
-  // Lemire's nearly-divisionless unbiased bounded draw.
-  unsigned __int128 m =
-      static_cast<unsigned __int128>(next()) * static_cast<unsigned __int128>(bound);
-  auto lo = static_cast<std::uint64_t>(m);
-  if (lo < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (lo < threshold) {
-      m = static_cast<unsigned __int128>(next()) *
-          static_cast<unsigned __int128>(bound);
-      lo = static_cast<std::uint64_t>(m);
-    }
-  }
-  return static_cast<std::uint64_t>(m >> 64);
 }
 
 std::int64_t Rng::range(std::int64_t lo, std::int64_t hi) {
@@ -86,18 +48,6 @@ std::uint64_t derive_seed(std::uint64_t campaign_seed, std::uint64_t index) {
   std::uint64_t x = campaign_seed ^ (index * 0xd1342543de82ef95ULL + 1);
   (void)splitmix64(x);
   return splitmix64(x);
-}
-
-std::size_t Rng::pick_cumulative(const double* cumulative, std::size_t n) {
-  assert(n > 0);
-  const double total = cumulative[n - 1];
-  const double draw = uniform() * total;
-  // Linear scan: distributions in this codebase have < 16 buckets, where a
-  // scan beats binary search on branch prediction.
-  for (std::size_t i = 0; i + 1 < n; ++i) {
-    if (draw < cumulative[i]) return i;
-  }
-  return n - 1;
 }
 
 }  // namespace unsync

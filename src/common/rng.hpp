@@ -4,9 +4,15 @@
 // is faster, has a tiny state (32 bytes) that can be embedded per-component,
 // and gives identical sequences across standard libraries — important for a
 // simulator whose results must be reproducible bit-for-bit across platforms.
+//
+// The per-draw members (next, uniform, below, chance, pick_cumulative) are
+// defined here so they inline into the stream generators that call them
+// per instruction.
 #pragma once
 
 #include <array>
+#include <bit>
+#include <cassert>
 #include <cstdint>
 #include <limits>
 
@@ -23,7 +29,17 @@ class Rng {
   void reseed(std::uint64_t seed);
 
   /// Raw 64-bit draw (xoshiro256** scrambler).
-  std::uint64_t next();
+  std::uint64_t next() {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   std::uint64_t operator()() { return next(); }
 
@@ -32,11 +48,24 @@ class Rng {
     return std::numeric_limits<result_type>::max();
   }
 
-  /// Uniform double in [0, 1).
-  double uniform();
+  /// Uniform double in [0, 1): the 53 high bits of one draw.
+  double uniform() { return static_cast<double>(next() >> 11) * 0x1.0p-53; }
 
-  /// Uniform integer in [0, bound) without modulo bias (Lemire's method).
-  std::uint64_t below(std::uint64_t bound);
+  /// Uniform integer in [0, bound) without modulo bias (Lemire's
+  /// nearly-divisionless method).
+  std::uint64_t below(std::uint64_t bound) {
+    assert(bound > 0);
+    unsigned __int128 m = static_cast<unsigned __int128>(next()) * bound;
+    auto lo = static_cast<std::uint64_t>(m);
+    if (lo < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (lo < threshold) {
+        m = static_cast<unsigned __int128>(next()) * bound;
+        lo = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive.
   std::int64_t range(std::int64_t lo, std::int64_t hi);
@@ -53,7 +82,16 @@ class Rng {
 
   /// Draws an index from a discrete distribution given cumulative weights
   /// (cumulative[i] = sum of weights[0..i], last element = total weight).
-  std::size_t pick_cumulative(const double* cumulative, std::size_t n);
+  std::size_t pick_cumulative(const double* cumulative, std::size_t n) {
+    assert(n > 0);
+    const double draw = uniform() * cumulative[n - 1];
+    // Linear scan: distributions in this codebase have < 16 buckets, where
+    // a scan beats binary search on branch prediction.
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      if (draw < cumulative[i]) return i;
+    }
+    return n - 1;
+  }
 
   /// Raw generator state, for checkpoint/restore: set_state(state()) on a
   /// second instance makes it produce the identical draw sequence.

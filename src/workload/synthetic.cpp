@@ -45,7 +45,8 @@ SyntheticStream::SyntheticStream(const BenchmarkProfile& profile,
   p_store_after_store_ = q;
   p_store_after_nonstore_ = p < 1.0 ? p * (1.0 - q) / (1.0 - p) : 1.0;
 
-  dep_p_ = 1.0 / profile_.mean_dep_distance;
+  dep_ = std::make_shared<const GeometricTable>(1.0 /
+                                                profile_.mean_dep_distance);
   miss1_load_ = profile_.l1_miss_rate;
   miss1_store_ = profile_.l1_miss_rate * 0.7;
 }
@@ -58,7 +59,10 @@ void SyntheticStream::reset() {
 }
 
 std::unique_ptr<InstStream> SyntheticStream::clone() const {
-  return std::make_unique<SyntheticStream>(profile_, seed_, length_);
+  // A copy shares the dependency table; reset() rewinds every cursor.
+  auto copy = std::make_unique<SyntheticStream>(*this);
+  copy->reset();
+  return copy;
 }
 
 Addr SyntheticStream::draw_address(bool is_store) {
@@ -106,15 +110,15 @@ bool SyntheticStream::next(DynOp* out) {
   // (p = 1/mean gives the profile's mean distance). Not every operand is a
   // live register value — immediates, constants and loop-invariant inputs
   // make real instruction streams much sparser than two-live-sources-per-
-  // instruction, which is what lets a 4-wide core sustain IPC > 1.
-  const double p = dep_p_;
+  // instruction, which is what lets a 4-wide core sustain IPC > 1. The
+  // table draw equals Rng::geometric(p) for every uniform (geometric.hpp).
   const int nsrc = op.cls == isa::InstClass::kSerializing ? 0
                    : op.is_load()                         ? 1
                                                           : 2;
   constexpr double kSrcPresent[2] = {0.85, 0.45};
   for (int i = 0; i < nsrc; ++i) {
     if (!rng_.chance(kSrcPresent[i])) continue;
-    const std::uint64_t dist = 1 + rng_.geometric(p);
+    const std::uint64_t dist = 1 + dep_->draw(rng_);
     op.src[i] = dist <= op.seq ? op.seq - dist : kNoSeq;
   }
   op.writes_reg = !(op.is_store() || op.is_branch() || op.is_serializing());

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 
+#include "common/geometric.hpp"
 #include "common/rng.hpp"
 #include "workload/dyn_op.hpp"
 #include "workload/profile.hpp"
@@ -69,7 +70,10 @@ class SyntheticStream final : public InstStream {
   double p_store_after_store_ = 0;     // profile burstiness
   double p_store_after_nonstore_ = 0;  // derived for the stationary rate
   // Hoisted per-op constants (next() is the simulator's hottest producer):
-  double dep_p_ = 0;            // 1 / mean_dep_distance
+  /// Dependency-distance draw, p = 1 / mean_dep_distance: built once per
+  /// constructed stream and shared by its clones (it is derived from the
+  /// profile alone, so checkpoints do not carry it).
+  std::shared_ptr<const GeometricTable> dep_;
   double miss1_load_ = 0;       // L1-miss prob for loads
   double miss1_store_ = 0;      // L1-miss prob for stores (0.7x, hotter)
 

@@ -1,8 +1,11 @@
 #include "common/rng.hpp"
 
+#include "common/geometric.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <vector>
 
@@ -145,6 +148,46 @@ TEST(Rng, PickCumulativeSingleBucket) {
   Rng r(17);
   const double cum[1] = {1.0};
   for (int i = 0; i < 50; ++i) EXPECT_EQ(r.pick_cumulative(cum, 1), 0u);
+}
+
+TEST(GeometricTable, MatchesRngGeometricDrawForDraw) {
+  for (const double p : {0.5, 0.2, 1.0 / 3, 1.0 / 24, 1e-3}) {
+    const GeometricTable table(p);
+    Rng a(18), b(18);
+    for (int i = 0; i < 100000; ++i) ASSERT_EQ(table.draw(a), b.geometric(p));
+  }
+}
+
+TEST(GeometricTable, CertainSuccessAlwaysZero) {
+  const GeometricTable table(1.0);
+  EXPECT_EQ(table.covered(), GeometricTable::kBuckets);
+  for (const double u : {0.0, 0.25, 0.5, std::nextafter(1.0, 0.0)}) {
+    EXPECT_EQ(table(u), 0u);
+  }
+}
+
+TEST(GeometricTable, TinyPFallsBackEverywhere) {
+  // Thresholds of p < 1/4096 are closer than one bucket from the start:
+  // nothing is tabulated, and every draw is the reference expression.
+  const double p = 1e-4;
+  const GeometricTable table(p);
+  EXPECT_EQ(table.covered(), 0u);
+  for (const double u : {0.0, 0.5, 0.999, std::nextafter(1.0, 0.0)}) {
+    EXPECT_EQ(table(u), table.reference(u));
+    EXPECT_EQ(table(u), static_cast<std::uint64_t>(std::floor(
+                            std::log1p(-u) / std::log1p(-p))));
+  }
+}
+
+TEST(GeometricTable, ThresholdsAreWhereTheDrawSteps) {
+  const GeometricTable table(0.25);
+  ASSERT_GT(table.thresholds(), 3u);
+  for (std::uint64_t k = 1; k <= table.thresholds(); ++k) {
+    const double t = table.threshold(k);
+    // Well clear of the guard band on either side, the draw reads k-1 / k.
+    EXPECT_EQ(table(t - 1e-9), k - 1);
+    EXPECT_EQ(table(t + 1e-9), k);
+  }
 }
 
 }  // namespace

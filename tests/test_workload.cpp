@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <iterator>
+#include <ostream>
+#include <string>
+
+#include "ckpt/serializer.hpp"
+#include "common/geometric.hpp"
 #include "isa/assembler.hpp"
 #include "workload/profile.hpp"
 #include "workload/synthetic.hpp"
@@ -200,6 +207,137 @@ TEST(Synthetic, MemOpsCarryAlignedAddresses) {
     }
   }
 }
+
+// ---- Dependency-distance table vs its reference expression ------------------
+//
+// The stream draws each dependency distance from a GeometricTable; every
+// draw must equal the reference floor(log1p(-u) / log1p(-p)) that
+// Rng::geometric evaluates, or streams silently change. Checked for every
+// profile's p on random uniforms and on the doubles nearest the places the
+// table could be wrong: its thresholds, its bucket edges and both ends of
+// [0, 1).
+
+class GeometricOracle : public ::testing::TestWithParam<std::string> {
+ protected:
+  static std::uint64_t oracle(double u, double p) {
+    return static_cast<std::uint64_t>(
+        std::floor(std::log1p(-u) / std::log1p(-p)));
+  }
+};
+
+TEST_P(GeometricOracle, TableDrawEqualsTheReference) {
+  const double p = 1.0 / profile(GetParam()).mean_dep_distance;
+  const GeometricTable table(p);
+  // The fast path must actually carry the stream: >= 95 % of [0, 1).
+  EXPECT_GE(table.covered(), GeometricTable::kBuckets * 95 / 100);
+
+  auto expect_exact = [&](double u) {
+    ASSERT_EQ(table(u), oracle(u, p)) << std::hexfloat << "u = " << u;
+  };
+  expect_exact(0.0);
+  expect_exact(std::nextafter(1.0, 0.0));  // the largest u < 1
+
+  Rng rng(0x5eed);
+  for (int i = 0; i < 10'000'000; ++i) {
+    const double u = rng.uniform();
+    if (table(u) != oracle(u, p)) {
+      expect_exact(u);  // reports the first mismatch
+      break;
+    }
+  }
+
+  // Every double within 64 ulps of every placed threshold, and of the
+  // first threshold past the table.
+  for (std::uint64_t k = 1; k <= table.thresholds() + 1; ++k) {
+    double lo = table.threshold(k), hi = lo;
+    for (int ulp = 0; ulp <= 64; ++ulp) {
+      if (lo < 1.0) expect_exact(lo);
+      if (hi < 1.0) expect_exact(hi);
+      lo = std::nextafter(lo, 0.0);
+      hi = std::nextafter(hi, 1.0);
+    }
+  }
+  // Both sides of every bucket edge.
+  for (std::size_t b = 1; b < GeometricTable::kBuckets; ++b) {
+    const double edge = static_cast<double>(b) / GeometricTable::kBuckets;
+    expect_exact(edge);
+    expect_exact(std::nextafter(edge, 0.0));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProfiles, GeometricOracle,
+                         ::testing::ValuesIn(profile_names()),
+                         [](const auto& info) { return info.param; });
+
+// ---- Stream pins ------------------------------------------------------------
+//
+// XXH64 (ckpt::fingerprint64) of the save_op bytes of each profile's first
+// 200k ops at two seeds, recorded before the table-driven dependency draw
+// replaced Rng::geometric. Any change to the generator that alters a stream
+// fails here, for every profile, not only for those the goldens touch.
+
+struct StreamPinValue {
+  const char* profile;
+  std::uint64_t seed;
+  std::uint64_t fingerprint;
+};
+
+constexpr StreamPinValue kStreamPins[] = {
+    {"bzip2", 1, 0x28c67a1fbfba4da9ull},
+    {"gzip", 1, 0xc8fb29b2917ecfa8ull},
+    {"mcf", 1, 0x2dac22b05d0c90c7ull},
+    {"gcc", 1, 0xd54a280f052a0e2dull},
+    {"parser", 1, 0x67d167e9839641d7ull},
+    {"vpr", 1, 0x9469a0b108a5eec2ull},
+    {"twolf", 1, 0x7b3be47fcfff927bull},
+    {"ammp", 1, 0x5de97bf7e1309656ull},
+    {"galgel", 1, 0x17165b5cf5154009ull},
+    {"equake", 1, 0x4bcc18d5803db1daull},
+    {"art", 1, 0xbd2d2995056b9f12ull},
+    {"qsort", 1, 0xb2fb7d7c63b5cf8aull},
+    {"dijkstra", 1, 0x209027ad43ea914bull},
+    {"susan", 1, 0x785568c702847db0ull},
+    {"bzip2", 42, 0x2dc5be025d3480b2ull},
+    {"gzip", 42, 0xd16de39da769c510ull},
+    {"mcf", 42, 0xf1f272a2304b6af4ull},
+    {"gcc", 42, 0x843babac32e623f6ull},
+    {"parser", 42, 0x0f45597385e352f3ull},
+    {"vpr", 42, 0xe64b2b4d8971b512ull},
+    {"twolf", 42, 0xb2c2d580b3584f51ull},
+    {"ammp", 42, 0xdeba7d5c6d9fd5acull},
+    {"galgel", 42, 0xe34af37ad8763f73ull},
+    {"equake", 42, 0x8ce2c709a618ac8aull},
+    {"art", 42, 0xdea95b827a0d3e55ull},
+    {"qsort", 42, 0xfa81639153b4f12cull},
+    {"dijkstra", 42, 0x771a1126bcb5bc1eull},
+    {"susan", 42, 0x7f043b77ab54f684ull},
+};
+
+void PrintTo(const StreamPinValue& pin, std::ostream* os) {
+  *os << pin.profile << "/seed" << pin.seed;
+}
+
+class StreamPin : public ::testing::TestWithParam<StreamPinValue> {};
+
+TEST_P(StreamPin, FirstOpsMatchThePin) {
+  const StreamPinValue& pin = GetParam();
+  SyntheticStream s(profile(pin.profile), pin.seed, 200000);
+  ckpt::Serializer bytes;
+  DynOp op;
+  while (s.next(&op)) save_op(bytes, op);
+  EXPECT_EQ(ckpt::fingerprint64(bytes.data()), pin.fingerprint)
+      << std::hex << "0x" << ckpt::fingerprint64(bytes.data());
+}
+
+TEST(StreamPin, EveryProfileIsPinnedAtBothSeeds) {
+  EXPECT_EQ(std::size(kStreamPins), 2 * all_profiles().size());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProfiles, StreamPin, ::testing::ValuesIn(kStreamPins),
+                         [](const auto& info) {
+                           return std::string(info.param.profile) + "_seed" +
+                                  std::to_string(info.param.seed);
+                         });
 
 TEST(Trace, RecordsRetiredInstructions) {
   const auto prog = isa::Assembler::assemble(R"(

@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
 
     std::vector<core::SystemKind> systems;
     for (const auto& name : split_list(cfg.get_string(
-             "systems", "baseline,unsync,reunion,lockstep,checkpoint"))) {
+             "systems", "baseline,unsync,reunion,lockstep,checkpoint,hetero"))) {
       const auto kind = core::parse_system(name);
       if (!kind) throw std::invalid_argument("unknown system: " + name);
       systems.push_back(*kind);
